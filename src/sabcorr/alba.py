@@ -13,16 +13,18 @@ from dataclasses import dataclass
 from .syntax import (
     And, Bot, Box, Dia, ExistsNom, ForallNom, Formula, GBox, Imp, InvLBox,
     InvLDia, LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top,
-    EMPTY_EDGES, FreshNominals, all_names_of, eliminate_iff, is_context_free,
-    is_pure, occurrence_signs, polarity, props_of, substitute_prop,
+    CONNECTIVES, EMPTY_EDGES, FreshNominals, _rebuild, all_names_of, children,
+    eliminate_iff, is_context_free, is_pure, occurrence_signs, polarity,
+    props_of, substitute_prop,
 )
 from .semantics import (
     Ineq, MegaGuard, QuasiUQ, Statement, UQIneq, print_statement,
     statement_props,
 )
 from .sahlqvist import (
-    build_signed_tree, find_order_type, has_critical_occurrence, is_definite,
-    is_epsilon_sahlqvist, is_inner_sahlqvist,
+    build_signed_tree, classify_node, find_order_type,
+    has_critical_occurrence, is_definite, is_epsilon_sahlqvist,
+    is_inner_sahlqvist,
 )
 
 
@@ -94,13 +96,11 @@ class System:
     trace: list
 
     def record(self, stage, rule, consumed, produced):
-        self.trace.append(DerivationStep(
-            stage, rule,
-            tuple(_show(c) for c in consumed),
-            tuple(_show(p) for p in produced)))
+        record(self.trace, stage, rule, consumed, produced)
 
 
-def _record(trace, stage, rule, consumed, produced):
+def record(trace, stage, rule, consumed, produced):
+    """Append one rewrite, its items printed, to the derivation trace."""
     if trace is not None:
         trace.append(DerivationStep(
             stage, rule,
@@ -111,64 +111,36 @@ def _record(trace, stage, rule, consumed, produced):
 # ---------------------------------------------------------------------------
 # stage 1: preprocessing
 
-def _child_signs(f: Formula, sign: str):
-    flip = "-" if sign == "+" else "+"
-    if isinstance(f, Not):
-        return (flip,)
-    if isinstance(f, Imp):
-        return (flip, sign)
-    return tuple(sign for _ in range(2 if isinstance(f, (And, Or)) else 1))
+# Per sign, the join that preprocessing splits (+or, -and) and the node
+# classes distributed over it: the outer ones other than the join itself.
+_JOIN = {"+": Or, "-": And}
+_DISTRIBUTED = {sign: {cls for cls, row in CONNECTIVES.items()
+                       if classify_node(row.label, sign).is_outer} - {join}
+                for sign, join in _JOIN.items()}
 
 
 def distribute(f: Formula, sign: str) -> Formula:
-    """Push +dia,+sdia,+and,+not,-imp over +or and -box,-sbox,-or,-not,-imp
-    over -and, to fixpoint."""
-    flip = "-" if sign == "+" else "+"
-    if isinstance(f, Not):
-        f = Not(distribute(f.child, flip))
-    elif isinstance(f, Imp):
-        f = Imp(distribute(f.left, flip), distribute(f.right, sign))
-    elif isinstance(f, (And, Or)):
-        f = type(f)(distribute(f.left, sign), distribute(f.right, sign))
-    elif isinstance(f, (Box, Dia, SBox, SDia)):
-        f = type(f)(distribute(f.child, sign))
-    if sign == "+":
-        if isinstance(f, Dia) and isinstance(f.child, Or):
-            return distribute(Or(Dia(f.child.left), Dia(f.child.right)), sign)
-        if isinstance(f, SDia) and isinstance(f.child, Or):
-            return distribute(Or(SDia(f.child.left), SDia(f.child.right)), sign)
-        if isinstance(f, Not) and isinstance(f.child, And):
-            return distribute(Or(Not(f.child.left), Not(f.child.right)), sign)
-        if isinstance(f, And) and isinstance(f.left, Or):
-            return distribute(Or(And(f.left.left, f.right),
-                                 And(f.left.right, f.right)), sign)
-        if isinstance(f, And) and isinstance(f.right, Or):
-            return distribute(Or(And(f.left, f.right.left),
-                                 And(f.left, f.right.right)), sign)
-    else:
-        if isinstance(f, Box) and isinstance(f.child, And):
-            return distribute(And(Box(f.child.left), Box(f.child.right)), sign)
-        if isinstance(f, SBox) and isinstance(f.child, And):
-            return distribute(And(SBox(f.child.left), SBox(f.child.right)), sign)
-        if isinstance(f, Not) and isinstance(f.child, Or):
-            return distribute(And(Not(f.child.left), Not(f.child.right)), sign)
-        if isinstance(f, Or) and isinstance(f.left, And):
-            return distribute(And(Or(f.left.left, f.right),
-                                  Or(f.left.right, f.right)), sign)
-        if isinstance(f, Or) and isinstance(f.right, And):
-            return distribute(And(Or(f.left, f.right.left),
-                                  Or(f.left, f.right.right)), sign)
-        if isinstance(f, Imp) and isinstance(f.left, Or):
-            return distribute(And(Imp(f.left.left, f.right),
-                                  Imp(f.left.right, f.right)), sign)
-        if isinstance(f, Imp) and isinstance(f.right, And):
-            return distribute(And(Imp(f.left, f.right.left),
-                                  Imp(f.left, f.right.right)), sign)
+    """Push every distributed node below a child that is a join at the
+    child's sign, to fixpoint: +dia, +sdia, +not and +and over +or; -box,
+    -sbox, -not, -or and -imp over -and."""
+    row = CONNECTIVES[type(f)]
+    kids = row.children(f)
+    if not kids:
+        return f
+    signs = row.signs[sign]
+    kids = tuple([distribute(c, s) for c, s in zip(kids, signs)])
+    f = row.rebuild(f, kids)
+    if type(f) in _DISTRIBUTED[sign]:
+        for k, (c, s) in enumerate(zip(kids, signs)):
+            if type(c) is _JOIN[s]:
+                before, after = kids[:k], kids[k + 1:]
+                return distribute(_JOIN[sign](
+                    row.rebuild(f, before + (c.left,) + after),
+                    row.rebuild(f, before + (c.right,) + after)), sign)
     return f
 
 
 def _simplify_bool(f: Formula) -> Formula:
-    from .syntax import children, _rebuild
     kids = tuple(_simplify_bool(c) for c in children(f))
     f = _rebuild(f, kids)
     if isinstance(f, Not):
@@ -204,18 +176,18 @@ def preprocess(ineq: Ineq, trace=None) -> list:
         dr = distribute(cur.rhs, "-")
         if dl != cur.lhs or dr != cur.rhs:
             new = Ineq(dl, dr)
-            _record(trace, "preprocess", "distribute", [cur], [new])
+            record(trace, "preprocess", "distribute", [cur], [new])
             cur = new
         if isinstance(cur.rhs, And):
             a = Ineq(cur.lhs, cur.rhs.left)
             b = Ineq(cur.lhs, cur.rhs.right)
-            _record(trace, "preprocess", "split", [cur], [a, b])
+            record(trace, "preprocess", "split", [cur], [a, b])
             pending[:0] = [a, b]
             continue
         if isinstance(cur.lhs, Or):
             a = Ineq(cur.lhs.left, cur.rhs)
             b = Ineq(cur.lhs.right, cur.rhs)
-            _record(trace, "preprocess", "split", [cur], [a, b])
+            record(trace, "preprocess", "split", [cur], [a, b])
             pending[:0] = [a, b]
             continue
         eliminated = False
@@ -230,7 +202,7 @@ def preprocess(ineq: Ineq, trace=None) -> list:
                 continue
             new = Ineq(_simplify_bool(substitute_prop(cur.lhs, p, repl)),
                        _simplify_bool(substitute_prop(cur.rhs, p, repl)))
-            _record(trace, "preprocess", "eliminate-uniform", [cur], [new])
+            record(trace, "preprocess", "eliminate-uniform", [cur], [new])
             pending.insert(0, new)
             eliminated = True
             break

@@ -7,15 +7,19 @@ import json
 import sys
 
 from .syntax import ParseError, parse_inequality, print_formula, props_of
-from .semantics import Ineq, enumerate_frames, frame_valid, print_statement
+from .semantics import (
+    FRAME_CAP, Ineq, enumerate_frames, frame_valid, print_statement,
+)
 from .sahlqvist import (
-    build_signed_tree, classify_node, critical_branches, find_order_type,
+    build_signed_tree, critical_branches, find_order_type,
     is_epsilon_sahlqvist, is_excellent_branch, parse_order_type,
 )
 from .alba import AlbaFailure, run_alba
 from .fol import correspondent, emit_fo, holds_on_frame
 
-MAX_WORLDS_CAP = 4
+
+class UsageError(Exception):
+    """A malformed option; `main` reports it on stderr with exit 2."""
 
 
 def _read_input(args) -> str:
@@ -30,10 +34,18 @@ def _parse_ineq(args) -> Ineq:
     return Ineq(lhs, rhs)
 
 
-def _order_type(args, ineq):
-    if getattr(args, "order_type", None):
+def _order_type(args):
+    if not getattr(args, "order_type", None):
+        return None
+    try:
         return parse_order_type(args.order_type)
-    return None
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _check_max_worlds(args):
+    if not 1 <= args.max_worlds <= FRAME_CAP:
+        raise UsageError(f"--max-worlds must be in 1..{FRAME_CAP}")
 
 
 def cmd_parse(args) -> int:
@@ -45,7 +57,7 @@ def cmd_parse(args) -> int:
 
 def cmd_classify(args) -> int:
     ineq = _parse_ineq(args)
-    override = _order_type(args, ineq)
+    override = _order_type(args)
     if override is not None:
         eps = override if is_epsilon_sahlqvist(ineq, override) else None
     else:
@@ -86,7 +98,7 @@ def _write_trace(args, trace):
 
 def cmd_correspond(args) -> int:
     ineq = _parse_ineq(args)
-    result = run_alba(ineq, _order_type(args, ineq))
+    result = run_alba(ineq, _order_type(args))
     _write_trace(args, result.trace)
     if isinstance(result, AlbaFailure):
         print(f"failure ({result.stage}): {result.reason}")
@@ -108,10 +120,8 @@ def cmd_correspond(args) -> int:
 
 def cmd_verify(args) -> int:
     ineq = _parse_ineq(args)
-    if args.max_worlds < 1 or args.max_worlds > MAX_WORLDS_CAP:
-        print(f"--max-worlds must be in 1..{MAX_WORLDS_CAP}", file=sys.stderr)
-        return 2
-    result = run_alba(ineq, _order_type(args, ineq))
+    _check_max_worlds(args)
+    result = run_alba(ineq, _order_type(args))
     if isinstance(result, AlbaFailure):
         print(f"failure ({result.stage}): {result.reason}")
         return 1
@@ -161,19 +171,15 @@ def cmd_corpus(args) -> int:
     except (OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.max_worlds < 1 or args.max_worlds > MAX_WORLDS_CAP:
-        print(f"--max-worlds must be in 1..{MAX_WORLDS_CAP}", file=sys.stderr)
-        return 2
+    _check_max_worlds(args)
     all_ok = True
     for label, ineq in entries:
-        eps = find_order_type(ineq)
-        if eps is None:
-            print(f"{label:30} not-sahlqvist")
-            all_ok = False
-            continue
         result = run_alba(ineq)
         if isinstance(result, AlbaFailure):
-            print(f"{label:30} alba-failure: {result.reason}")
+            if result.stage == "classify":
+                print(f"{label:30} not-sahlqvist")
+            else:
+                print(f"{label:30} alba-failure: {result.reason}")
             all_ok = False
             continue
         fo = correspondent(result.quasis)
@@ -183,7 +189,8 @@ def cmd_corpus(args) -> int:
                  for frame in enumerate_frames(n))
         status = "verified" if ok else "MISMATCH"
         all_ok = all_ok and ok
-        ot = ",".join(f"{k}={v}" for k, v in sorted(eps.items())) or "-"
+        ot = ",".join(f"{k}={v}"
+                      for k, v in sorted(result.order_type.items())) or "-"
         print(f"{label:30} {status}  order-type: {ot}")
     return 0 if all_ok else 1
 
@@ -243,8 +250,11 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UsageError) as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("input nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -270,43 +270,42 @@ def eval_fo(frame: KripkeFrame, val: Valuation, assignment: dict,
     return ev(f, env)
 
 
+def _fo_children(f: FOFormula) -> tuple:
+    t = type(f)
+    if t is FOAnd or t is FOOr:
+        return f.parts
+    if t is FONot:
+        return (f.child,)
+    if t is FOImp:
+        return (f.left, f.right)
+    if t is FOForall or t is FOExists:
+        return (f.body,)
+    if t is Eq or t is Rel or t is Pred:
+        return ()
+    msg = f"not a formula: {f!r}"
+    raise FOEvalError(msg)
+
+
 def free_names(f: FOFormula) -> frozenset:
-    if isinstance(f, Eq):
-        return frozenset({f.a, f.b})
-    if isinstance(f, Rel):
+    if isinstance(f, (Eq, Rel)):
         return frozenset({f.a, f.b})
     if isinstance(f, Pred):
         return frozenset({f.t})
-    if isinstance(f, FONot):
-        return free_names(f.child)
-    if isinstance(f, (FOAnd, FOOr)):
-        out = frozenset()
-        for p in f.parts:
-            out |= free_names(p)
-        return out
-    if isinstance(f, FOImp):
-        return free_names(f.left) | free_names(f.right)
+    out = frozenset()
+    for g in _fo_children(f):
+        out |= free_names(g)
     if isinstance(f, (FOForall, FOExists)):
-        return free_names(f.body) - {f.var}
-    msg = f"not a formula: {f!r}"
-    raise FOEvalError(msg)
+        out -= {f.var}
+    return out
 
 
 def pred_names(f: FOFormula) -> frozenset:
     if isinstance(f, Pred):
         return frozenset({f.name})
-    if isinstance(f, FONot):
-        return pred_names(f.child)
-    if isinstance(f, (FOAnd, FOOr)):
-        out = frozenset()
-        for p in f.parts:
-            out |= pred_names(p)
-        return out
-    if isinstance(f, FOImp):
-        return pred_names(f.left) | pred_names(f.right)
-    if isinstance(f, (FOForall, FOExists)):
-        return pred_names(f.body)
-    return frozenset()
+    out = frozenset()
+    for g in _fo_children(f):
+        out |= pred_names(g)
+    return out
 
 
 def holds_on_frame(frame: KripkeFrame, f: FOFormula, vars=None) -> bool:
@@ -351,31 +350,46 @@ def fo_equiv_on_small_frames(f1: FOFormula, f2: FOFormula, max_n: int = 3,
 # ---------------------------------------------------------------------------
 # emission
 
-def _emit_text(f: FOFormula) -> str:
+# How each text dialect writes terms, atoms, connectives and binders; the
+# format strings take their parts in reading order.
+_DIALECTS = {
+    "text": {"term": str, "rel": "R({},{})", "pred": "P_{}({})",
+             "neg": "~{}", "true": "true", "false": "false", "imp": "->",
+             "forall": "forall {}. ", "exists": "exists {}. ",
+             "document": "{}"},
+    "tptp": {"term": str.upper, "rel": "r({},{})", "pred": "p_{}({})",
+             "neg": "~({})", "true": "$true", "false": "$false", "imp": "=>",
+             "forall": "![{}]: ", "exists": "?[{}]: ",
+             "document": "fof(corr, axiom, {})."},
+}
+
+
+def _emit(f: FOFormula, d: dict) -> str:
+    term = d["term"]
     if isinstance(f, Eq):
-        return f"{f.a} = {f.b}"
+        return f"{term(f.a)} = {term(f.b)}"
     if isinstance(f, Rel):
-        return f"R({f.a},{f.b})"
+        return d["rel"].format(term(f.a), term(f.b))
     if isinstance(f, Pred):
-        return f"P_{f.name}({f.t})"
+        return d["pred"].format(f.name, term(f.t))
     if isinstance(f, FONot):
         if isinstance(f.child, Eq):
-            return f"{f.child.a} != {f.child.b}"
-        return f"~{_emit_text(f.child)}"
+            return f"{term(f.child.a)} != {term(f.child.b)}"
+        return d["neg"].format(_emit(f.child, d))
     if isinstance(f, FOAnd):
         if not f.parts:
-            return "true"
-        return "(" + " & ".join(_emit_text(p) for p in f.parts) + ")"
+            return d["true"]
+        return "(" + " & ".join(_emit(p, d) for p in f.parts) + ")"
     if isinstance(f, FOOr):
         if not f.parts:
-            return "false"
-        return "(" + " | ".join(_emit_text(p) for p in f.parts) + ")"
+            return d["false"]
+        return "(" + " | ".join(_emit(p, d) for p in f.parts) + ")"
     if isinstance(f, FOImp):
-        return f"({_emit_text(f.left)} -> {_emit_text(f.right)})"
+        return f"({_emit(f.left, d)} {d['imp']} {_emit(f.right, d)})"
     if isinstance(f, FOForall):
-        return f"forall {f.var}. {_emit_text(f.body)}"
+        return d["forall"].format(term(f.var)) + _emit(f.body, d)
     if isinstance(f, FOExists):
-        return f"exists {f.var}. {_emit_text(f.body)}"
+        return d["exists"].format(term(f.var)) + _emit(f.body, d)
     msg = f"cannot emit {f!r}"
     raise ValueError(msg)
 
@@ -403,45 +417,11 @@ def _as_json(f: FOFormula):
     raise ValueError(msg)
 
 
-def _tv(name: str) -> str:
-    return name.upper()
-
-
-def _emit_tptp(f: FOFormula) -> str:
-    if isinstance(f, Eq):
-        return f"{_tv(f.a)} = {_tv(f.b)}"
-    if isinstance(f, Rel):
-        return f"r({_tv(f.a)},{_tv(f.b)})"
-    if isinstance(f, Pred):
-        return f"p_{f.name}({_tv(f.t)})"
-    if isinstance(f, FONot):
-        if isinstance(f.child, Eq):
-            return f"{_tv(f.child.a)} != {_tv(f.child.b)}"
-        return f"~({_emit_tptp(f.child)})"
-    if isinstance(f, FOAnd):
-        if not f.parts:
-            return "$true"
-        return "(" + " & ".join(_emit_tptp(p) for p in f.parts) + ")"
-    if isinstance(f, FOOr):
-        if not f.parts:
-            return "$false"
-        return "(" + " | ".join(_emit_tptp(p) for p in f.parts) + ")"
-    if isinstance(f, FOImp):
-        return f"({_emit_tptp(f.left)} => {_emit_tptp(f.right)})"
-    if isinstance(f, FOForall):
-        return f"![{_tv(f.var)}]: {_emit_tptp(f.body)}"
-    if isinstance(f, FOExists):
-        return f"?[{_tv(f.var)}]: {_emit_tptp(f.body)}"
-    msg = f"cannot emit {f!r}"
-    raise ValueError(msg)
-
-
 def emit_fo(f: FOFormula, format: str = "text") -> str:
-    if format == "text":
-        return _emit_text(f)
     if format == "json":
         return json.dumps(_as_json(f))
-    if format == "tptp":
-        return f"fof(corr, axiom, {_emit_tptp(f)})."
+    if format in _DIALECTS:
+        d = _DIALECTS[format]
+        return d["document"].format(_emit(f, d))
     msg = f"unknown format {format!r}"
     raise ValueError(msg)

@@ -1,30 +1,17 @@
 """Signed generation trees and the Sahlqvist / definite / inner classifiers.
 
-Signs propagate from the root: same sign to the children of and/or/box/dia/
-sbox/sdia (and the labeled, global and quantifier connectives), flipped under
-not, flipped for the first child of imp.  An order type maps each variable
-to '1' or 'd' (for the dual order); a leaf +p with eps(p)='1' or -p with
-eps(p)='d' is critical.
+Signs propagate from the root as the connective table in `syntax` says:
+flipped under not and for the first child of imp, kept everywhere else.
+An order type maps each variable to '1' or 'd' (for the dual order); a leaf
++p with eps(p)='1' or -p with eps(p)='d' is critical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import (
-    And, Bot, Box, Dia, ExistsNom, ForallNom, Formula, GBox, GDia, Iff, Imp,
-    InvLBox, InvLDia, LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top,
-    eliminate_iff, props_of,
-)
+from .syntax import CONNECTIVES, Formula, eliminate_iff, props_of
 from .semantics import Ineq
-
-_LABELS = {
-    Bot: "bot", Top: "top", Prop: "prop", Nom: "nom",
-    Not: "not", And: "and", Or: "or", Imp: "imp", Iff: "iff",
-    Box: "box", Dia: "dia", SBox: "sbox", SDia: "sdia",
-    LBox: "lbox", LDia: "ldia", InvLBox: "inv-lbox", InvLDia: "inv-ldia",
-    GBox: "gbox", GDia: "gdia", ForallNom: "forallnom", ExistsNom: "existsnom",
-}
 
 _OUTER = {
     ("or", "+"), ("and", "+"), ("dia", "+"), ("sdia", "+"), ("not", "+"),
@@ -57,26 +44,13 @@ class SignedTree:
     formula: Formula
 
 
-def _flip(sign: str) -> str:
-    return "-" if sign == "+" else "+"
-
-
 def build_signed_tree(f: Formula, root_sign: str) -> SignedTree:
-    label = _LABELS[type(f)]
-    if isinstance(f, Not):
-        kids = (build_signed_tree(f.child, _flip(root_sign)),)
-    elif isinstance(f, Imp):
-        kids = (build_signed_tree(f.left, _flip(root_sign)),
-                build_signed_tree(f.right, root_sign))
-    elif isinstance(f, (And, Or, Iff)):
-        kids = (build_signed_tree(f.left, root_sign),
-                build_signed_tree(f.right, root_sign))
-    elif isinstance(f, (Box, Dia, SBox, SDia, LBox, LDia, InvLBox, InvLDia,
-                        GBox, GDia, ForallNom, ExistsNom)):
-        kids = (build_signed_tree(f.child, root_sign),)
-    else:
-        kids = ()
-    return SignedTree(label, root_sign, kids, f)
+    row = CONNECTIVES[type(f)]
+    kids = row.children(f)
+    if kids:
+        kids = tuple([build_signed_tree(c, s)
+                      for c, s in zip(kids, row.signs[root_sign])])
+    return SignedTree(row.label, root_sign, kids, f)
 
 
 def critical_branches(tree: SignedTree, eps: dict):

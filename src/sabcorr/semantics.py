@@ -308,22 +308,6 @@ def enumerate_frames(n: int):
         yield KripkeFrame(n, edges)
 
 
-def parse_frame(text: str) -> KripkeFrame:
-    """Parse the literal format `n=3; edges=(0,1),(1,2)`."""
-    import re
-    m = re.match(r"\s*n\s*=\s*(\d+)\s*;\s*edges\s*=\s*(.*)$", text)
-    if m is None:
-        msg = f"bad frame literal: {text!r}"
-        raise ValueError(msg)
-    n = int(m.group(1))
-    rest = m.group(2).strip()
-    edges = set()
-    if rest:
-        for pm in re.finditer(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", rest):
-            edges.add((int(pm.group(1)), int(pm.group(2))))
-    return KripkeFrame(n, frozenset(edges))
-
-
 # ---------------------------------------------------------------------------
 # printing
 

@@ -1,15 +1,21 @@
-"""Abstract syntax, parsing, printing and structural queries.
+"""Abstract syntax, the connective table, parsing, printing and structural
+queries.
 
 The parser accepts the base sabotage modal language only.  The expanded
 constructors (nominals, labeled modalities, inverses, global modalities,
 nominal quantifiers) are produced internally by the rewrite engine and are
 printable but not parseable.
+
+`CONNECTIVES` is the one place that says what each node class is: its label
+in signed generation trees, the sign of each child, and how it is printed
+and parsed.  Adding a connective means adding its class and its row here,
+and its cases in `semantics.satisfies` and `fol.st_formula`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 # An EdgeLabelSet is a frozenset of (nominal, nominal) pairs.  Order inside a
 # pair is significant (directed edge); distinct pairs may denote the same
@@ -17,8 +23,6 @@ from dataclasses import dataclass
 EdgeLabelSet = frozenset
 
 EMPTY_EDGES: EdgeLabelSet = frozenset()
-
-_NOMINAL_RE = re.compile(r"i[0-9]+$")
 
 
 class Formula:
@@ -155,6 +159,104 @@ class ExistsNom(Formula):
 
 
 # ---------------------------------------------------------------------------
+# the connective table
+
+_FLIP = {"+": "-", "-": "+"}
+
+# Binding strength of the operand of a prefix operator; infix connectives
+# bind from 0 (loosest) up to PREFIX - 1.
+PREFIX = 4
+
+# Child getters by arity: a unary node keeps its child in `child`, a binary
+# one in `left` and `right`.
+_CHILDREN = (lambda f: (), lambda f: (f.child,), lambda f: (f.left, f.right))
+
+
+class Connective:
+    """One row of the connective table.
+
+    label: the node's name in signed generation trees.
+    signs: per sign of the node, the signs of its children; in the row,
+    '=' keeps the parent's sign and '~' flips it.
+    token: what the parser reads for the node, if it is in the base
+    language: a constant, a prefix operator or an infix symbol.
+    prec, right_assoc: the binding strength and grouping of a binary node,
+    which is printed and parsed infix.
+    head: for any other node, the text printed before its child, as a
+    function of the node; a string stands for itself, and the default is
+    the token.
+    children, rebuild: read the children of a node, and copy a node with
+    new children.
+    """
+
+    __slots__ = ("cls", "label", "signs", "token", "prec", "right_assoc",
+                 "head", "children", "rebuild")
+
+    def __init__(self, cls, label, signs="", *, token=None, prec=PREFIX,
+                 right_assoc=False, head=None):
+        self.cls = cls
+        self.label = label
+        self.signs = {s: tuple(s if c == "=" else _FLIP[s] for c in signs)
+                      for s in _FLIP}
+        self.token = token
+        self.prec = prec
+        self.right_assoc = right_assoc
+        head = token if head is None else head
+        self.head = head if callable(head) else (lambda f: head)
+        self.children = _CHILDREN[len(signs)]
+        names = [fl.name for fl in fields(cls)]
+        if len(names) > len(signs):  # an edge label set or a binder first
+            self.rebuild = lambda f, new: cls(getattr(f, names[0]), *new)
+        else:
+            self.rebuild = lambda f, new: cls(*new)
+
+
+def _labeled(name):
+    return lambda f: f"{name}^{print_edge_set(f.s)} "
+
+
+CONNECTIVES = {row.cls: row for row in (
+    Connective(Bot, "bot", token="bot"),
+    Connective(Top, "top", token="top"),
+    Connective(Prop, "prop", head=lambda f: f.name),
+    Connective(Nom, "nom", head=lambda f: f.name),
+    Connective(Iff, "iff", "==", token="<->", prec=0, right_assoc=True),
+    Connective(Imp, "imp", "~=", token="->", prec=1, right_assoc=True),
+    Connective(Or, "or", "==", token="|", prec=2),
+    Connective(And, "and", "==", token="&", prec=3),
+    Connective(Not, "not", "~", token="~"),
+    Connective(Dia, "dia", "=", token="<>"),
+    Connective(Box, "box", "=", token="[]"),
+    Connective(SDia, "sdia", "=", token="<!>"),
+    Connective(SBox, "sbox", "=", token="[!]"),
+    Connective(LDia, "ldia", "=", head=_labeled("dia")),
+    Connective(LBox, "lbox", "=", head=_labeled("box")),
+    Connective(InvLDia, "inv-ldia", "=", head=_labeled("inv-dia")),
+    Connective(InvLBox, "inv-lbox", "=", head=_labeled("inv-box")),
+    Connective(GBox, "gbox", "=", head="A "),
+    Connective(GDia, "gdia", "=", head="E "),
+    Connective(ForallNom, "forallnom", "=",
+               head=lambda f: f"forall {f.nom}. "),
+    Connective(ExistsNom, "existsnom", "=",
+               head=lambda f: f"exists {f.nom}. "),
+)}
+
+
+def children(f: Formula) -> tuple:
+    return CONNECTIVES[type(f)].children(f)
+
+
+def _rebuild(f: Formula, kids: tuple) -> Formula:
+    return CONNECTIVES[type(f)].rebuild(f, kids) if kids else f
+
+
+def signed_children(f: Formula, sign: str):
+    """(child, sign) pairs for the children of a node of the given sign."""
+    row = CONNECTIVES[type(f)]
+    return zip(row.children(f), row.signs[sign])
+
+
+# ---------------------------------------------------------------------------
 # parsing
 
 class ParseError(ValueError):
@@ -164,7 +266,19 @@ class ParseError(ValueError):
         self.expected = tuple(expected)
 
 
-_SYMBOLS = ["<->", "<=", "<!>", "<>", "[!]", "[]", "->", "~", "&", "|", "(", ")"]
+def _parsed(arity):
+    return {row.token: cls for cls, row in CONNECTIVES.items()
+            if row.token and len(row.signs["+"]) == arity}
+
+
+_CONSTANTS, _PREFIX_OPS = _parsed(0), _parsed(1)
+# (symbol, class, right-associative), loosest first
+_INFIX = sorted(((sym, cls, CONNECTIVES[cls].right_assoc)
+                 for sym, cls in _parsed(2).items()),
+                key=lambda op: CONNECTIVES[op[1]].prec)
+# longest first, so that a symbol is never read as a prefix of a longer one
+_SYMBOLS = sorted([op for op, _, _ in _INFIX] + list(_PREFIX_OPS)
+                  + ["<=", "(", ")"], key=len, reverse=True)
 _IDENT_RE = re.compile(r"[a-z][A-Za-z0-9]*")
 
 
@@ -213,55 +327,25 @@ class _Parser:
                              self.pos(), expected=(tok,))
         self.advance()
 
-    def formula(self) -> Formula:
-        return self.iff()
-
-    def iff(self) -> Formula:
-        left = self.imp()
-        if self.peek() == "<->":
+    def formula(self, level: int = 0) -> Formula:
+        """A formula whose infix connectives bind at `level` or tighter."""
+        if level == len(_INFIX):
+            return self.unary()
+        sym, cls, right_assoc = _INFIX[level]
+        left = self.formula(level + 1)
+        while self.peek() == sym:
             self.advance()
-            return Iff(left, self.iff())
-        return left
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek() == "->":
-            self.advance()
-            return Imp(left, self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        left = self.conj()
-        while self.peek() == "|":
-            self.advance()
-            left = Or(left, self.conj())
-        return left
-
-    def conj(self) -> Formula:
-        left = self.unary()
-        while self.peek() == "&":
-            self.advance()
-            left = And(left, self.unary())
+            if right_assoc:
+                return cls(left, self.formula(level))
+            left = cls(left, self.formula(level + 1))
         return left
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok == "~":
-            self.advance()
-            return Not(self.unary())
-        if tok == "<>":
-            self.advance()
-            return Dia(self.unary())
-        if tok == "[]":
-            self.advance()
-            return Box(self.unary())
-        if tok == "<!>":
-            self.advance()
-            return SDia(self.unary())
-        if tok == "[!]":
-            self.advance()
-            return SBox(self.unary())
-        return self.atom()
+        cls = _PREFIX_OPS.get(self.peek())
+        if cls is None:
+            return self.atom()
+        self.advance()
+        return cls(self.unary())
 
     def atom(self) -> Formula:
         tok = self.peek()
@@ -272,12 +356,9 @@ class _Parser:
             return f
         if tok.startswith("ident:"):
             name = tok[len("ident:"):]
-            if name == "bot":
+            if name in _CONSTANTS:
                 self.advance()
-                return Bot()
-            if name == "top":
-                self.advance()
-                return Top()
+                return _CONSTANTS[name]()
             if name[0] == "i" and len(name) > 1 and name[1].isdigit():
                 raise ParseError(
                     f"identifier {name!r} is reserved for nominals", self.pos())
@@ -321,54 +402,17 @@ def print_edge_set(s: EdgeLabelSet) -> str:
     return "{" + pairs + "}"
 
 
-# precedence levels: iff=0, imp=1, or=2, and=3, unary=4, atom=5
 def _print(f: Formula, prec: int) -> str:
-    if isinstance(f, Bot):
-        return "bot"
-    if isinstance(f, Top):
-        return "top"
-    if isinstance(f, (Prop, Nom)):
-        return f.name
-    if isinstance(f, Iff):
-        text = f"{_print(f.left, 1)} <-> {_print(f.right, 0)}"
-        return f"({text})" if prec > 0 else text
-    if isinstance(f, Imp):
-        text = f"{_print(f.left, 2)} -> {_print(f.right, 1)}"
-        return f"({text})" if prec > 1 else text
-    if isinstance(f, Or):
-        text = f"{_print(f.left, 2)} | {_print(f.right, 3)}"
-        return f"({text})" if prec > 2 else text
-    if isinstance(f, And):
-        text = f"{_print(f.left, 3)} & {_print(f.right, 4)}"
-        return f"({text})" if prec > 3 else text
-    if isinstance(f, Not):
-        return f"~{_print(f.child, 4)}"
-    if isinstance(f, Dia):
-        return f"<>{_print(f.child, 4)}"
-    if isinstance(f, Box):
-        return f"[]{_print(f.child, 4)}"
-    if isinstance(f, SDia):
-        return f"<!>{_print(f.child, 4)}"
-    if isinstance(f, SBox):
-        return f"[!]{_print(f.child, 4)}"
-    if isinstance(f, LDia):
-        return f"dia^{print_edge_set(f.s)} {_print(f.child, 4)}"
-    if isinstance(f, LBox):
-        return f"box^{print_edge_set(f.s)} {_print(f.child, 4)}"
-    if isinstance(f, InvLDia):
-        return f"inv-dia^{print_edge_set(f.s)} {_print(f.child, 4)}"
-    if isinstance(f, InvLBox):
-        return f"inv-box^{print_edge_set(f.s)} {_print(f.child, 4)}"
-    if isinstance(f, GBox):
-        return f"A {_print(f.child, 4)}"
-    if isinstance(f, GDia):
-        return f"E {_print(f.child, 4)}"
-    if isinstance(f, ForallNom):
-        return f"forall {f.nom}. {_print(f.child, 4)}"
-    if isinstance(f, ExistsNom):
-        return f"exists {f.nom}. {_print(f.child, 4)}"
-    msg = f"cannot print {f!r}"
-    raise ValueError(msg)
+    row = CONNECTIVES[type(f)]
+    kids = row.children(f)
+    if len(kids) < 2:
+        head = row.head(f)
+        return head + _print(kids[0], PREFIX) if kids else head
+    tight = row.prec + 1
+    left, right = ((tight, row.prec) if row.right_assoc
+                   else (row.prec, tight))
+    text = f"{_print(kids[0], left)} {row.token} {_print(kids[1], right)}"
+    return f"({text})" if prec > row.prec else text
 
 
 def print_formula(f: Formula) -> str:
@@ -377,15 +421,6 @@ def print_formula(f: Formula) -> str:
 
 # ---------------------------------------------------------------------------
 # structural queries
-
-def children(f: Formula):
-    if isinstance(f, (Not, Box, Dia, SBox, SDia, LBox, LDia, InvLBox, InvLDia,
-                      GBox, GDia, ForallNom, ExistsNom)):
-        return (f.child,)
-    if isinstance(f, (And, Or, Imp, Iff)):
-        return (f.left, f.right)
-    return ()
-
 
 def props_of(f: Formula) -> frozenset:
     out = set()
@@ -434,16 +469,6 @@ def is_pure(f: Formula) -> bool:
     return not props_of(f)
 
 
-def is_static(f: Formula) -> bool:
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, (SBox, SDia)):
-            return False
-        stack.extend(children(g))
-    return True
-
-
 def is_context_free(f: Formula) -> bool:
     """True iff f contains none of the contextual connectives [] <> [!] <!>.
 
@@ -453,17 +478,6 @@ def is_context_free(f: Formula) -> bool:
     while stack:
         g = stack.pop()
         if isinstance(g, (Box, Dia, SBox, SDia)):
-            return False
-        stack.extend(children(g))
-    return True
-
-
-def is_base(f: Formula) -> bool:
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if not isinstance(g, (Bot, Top, Prop, Not, And, Or, Imp, Iff,
-                              Box, Dia, SBox, SDia)):
             return False
         stack.extend(children(g))
     return True
@@ -486,44 +500,25 @@ def substitute_prop(f: Formula, name: str, g: Formula) -> Formula:
     return _rebuild(f, tuple(substitute_prop(c, name, g) for c in kids))
 
 
-def _rebuild(f: Formula, kids: tuple) -> Formula:
-    if not kids:
-        return f
-    if isinstance(f, (And, Or, Imp, Iff)):
-        return type(f)(kids[0], kids[1])
-    if isinstance(f, (LBox, LDia, InvLBox, InvLDia)):
-        return type(f)(f.s, kids[0])
-    if isinstance(f, (ForallNom, ExistsNom)):
-        return type(f)(f.nom, kids[0])
-    return type(f)(kids[0])
-
-
 # ---------------------------------------------------------------------------
 # polarity
 
 def occurrence_signs(f: Formula, name: str, sign: str = "+"):
     """Yield the sign of every occurrence of Prop(name) in f.
 
-    Signs follow negation counting: flip under Not, flip in the antecedent of
-    Imp; each occurrence under Iff is reported with both signs.
+    Signs follow the connective table; each occurrence under Iff is
+    reported with both signs, since either side of an equivalence is both
+    an antecedent and a consequent.
     """
     if isinstance(f, Prop):
         if f.name == name:
             yield sign
         return
-    flip = "-" if sign == "+" else "+"
-    if isinstance(f, Not):
-        yield from occurrence_signs(f.child, name, flip)
-    elif isinstance(f, Imp):
-        yield from occurrence_signs(f.left, name, flip)
-        yield from occurrence_signs(f.right, name, sign)
-    elif isinstance(f, Iff):
-        for side in (f.left, f.right):
-            yield from occurrence_signs(side, name, sign)
-            yield from occurrence_signs(side, name, flip)
-    else:
-        for g in children(f):
-            yield from occurrence_signs(g, name, sign)
+    pairs = signed_children(f, sign)
+    if isinstance(f, Iff):
+        pairs = [*pairs, *signed_children(f, _FLIP[sign])]
+    for g, s in pairs:
+        yield from occurrence_signs(g, name, s)
 
 
 def polarity(f: Formula, name: str) -> str:
@@ -557,6 +552,3 @@ class FreshNominals:
                 self.issued.append(name)
                 return name
 
-
-def is_nominal_name(name: str) -> bool:
-    return bool(_NOMINAL_RE.match(name))

@@ -51,8 +51,13 @@ def test_distribute_examples():
     # nested: dia over or produced by an inner distribution
     assert distribute(Dia(Dia(Or(p, q))), "+") == \
         Or(Dia(Dia(p)), Dia(Dia(q)))
-    # no rule at the opposite sign
+    assert distribute(And(p, Or(q, r)), "+") == Or(And(p, q), And(p, r))
+    assert distribute(Or(p, And(q, r)), "-") == And(Or(p, q), Or(p, r))
+    # no rule at the opposite sign, nor for inner-only or joined nodes
     assert distribute(Dia(Or(p, q)), "-") == Dia(Or(p, q))
+    assert distribute(Box(Or(p, q)), "+") == Box(Or(p, q))
+    assert distribute(Or(And(p, q), r), "+") == Or(And(p, q), r)
+    assert distribute(Imp(Or(p, q), r), "+") == Imp(Or(p, q), r)
 
 
 def test_distribution_preserves_meaning():

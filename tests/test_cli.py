@@ -148,3 +148,31 @@ def test_shipped_corpus_loads():
     labels = [label for label, _ in entries]
     assert len(entries) >= 12
     assert "T" in labels and "commute" in labels
+
+
+# ---------------------------------------------------------------------------
+# usage errors exit 2 without a traceback
+
+@pytest.mark.parametrize("command", ["classify", "correspond", "verify"])
+@pytest.mark.parametrize("spec", ["p=x", "p"])
+def test_malformed_order_type_exit_2(command, spec, capsys):
+    assert main([command, "--formula", "[]p -> p", "--order-type", spec]) == 2
+    captured = capsys.readouterr()
+    assert "order-type" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["correspond", "--formula", "~" * 400 + "p"],
+    ["parse", "--formula", "(" * 200 + "p" + ")" * 200],
+])
+def test_deep_nesting_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert "input nested too deeply" in capsys.readouterr().err
+
+
+def test_corpus_max_worlds_cap(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("[]p -> p\n")
+    assert main(["corpus", "--file", str(path), "--max-worlds", "0"]) == 2
+    assert "--max-worlds must be in 1..4" in capsys.readouterr().err

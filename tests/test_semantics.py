@@ -16,7 +16,7 @@ from sabcorr.syntax import (
 from sabcorr.semantics import (
     EvalError, Ineq, KripkeFrame, MegaAnd, MegaGuard, QuasiUQ, UQIneq,
     Valuation, edges_of, enumerate_frames, eval_statement, frame_valid,
-    parse_frame, print_statement, satisfies, statement_nominals,
+    print_statement, satisfies, statement_nominals,
     statement_props,
 )
 
@@ -254,14 +254,6 @@ def test_enumerate_frames():
         list(enumerate_frames(5))
     with pytest.raises(ValueError):
         list(enumerate_frames(0))
-
-
-def test_parse_frame():
-    f = parse_frame("n=3; edges=(0,1),(1,2)")
-    assert f.n == 3 and f.r0 == {(0, 1), (1, 2)}
-    assert parse_frame("n=2; edges=").r0 == frozenset()
-    with pytest.raises(ValueError):
-        parse_frame("edges=(0,1)")
 
 
 # ---------------------------------------------------------------------------

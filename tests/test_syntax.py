@@ -6,13 +6,43 @@ from hypothesis import given, strategies as st
 from sabcorr.syntax import (
     And, Bot, Box, Dia, ExistsNom, ForallNom, GBox, Iff, Imp, LDia, Nom, Not,
     Or, Prop, SBox, SDia, Top,
-    EMPTY_EDGES, FreshNominals, ParseError, all_names_of, eliminate_iff,
-    is_base, is_context_free, is_nominal_name, is_pure, is_static,
+    CONNECTIVES, EMPTY_EDGES, PREFIX, Formula, FreshNominals, ParseError,
+    all_names_of, children, eliminate_iff, is_context_free, is_pure,
     nominals_of, occurrence_signs, parse_formula, parse_inequality, polarity,
-    print_formula, props_of, substitute_prop,
+    print_formula, props_of, signed_children, substitute_prop,
 )
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
+
+
+# ---------------------------------------------------------------------------
+# the connective table
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_formula_class_has_a_row():
+    classes = set(_subclasses(Formula))
+    assert classes == set(CONNECTIVES)
+    for cls in classes:
+        row = CONNECTIVES[cls]
+        assert row.cls is cls
+        arity = sum(fl.type == "Formula"
+                    for fl in cls.__dataclass_fields__.values())
+        assert len(row.signs["+"]) == len(row.signs["-"]) == arity, cls
+        assert (row.prec < PREFIX) == (arity == 2), cls
+
+
+def test_signed_children():
+    assert list(signed_children(Imp(p, q), "+")) == [(p, "-"), (q, "+")]
+    assert list(signed_children(Imp(p, q), "-")) == [(p, "+"), (q, "-")]
+    assert list(signed_children(Not(p), "-")) == [(p, "+")]
+    assert list(signed_children(SDia(p), "-")) == [(p, "-")]
+    assert list(signed_children(p, "+")) == []
+    assert children(ForallNom("i1", p)) == (p,)
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +143,10 @@ def test_props_and_nominals():
 
 def test_classification_predicates():
     assert is_pure(SDia(Nom("i1"))) and not is_pure(p)
-    assert is_static(Box(p)) and not is_static(SBox(p))
     assert is_context_free(Not(And(Nom("i1"), Top())))
     assert not is_context_free(Dia(Top()))
     assert not is_context_free(SDia(Top()))
     assert is_context_free(LDia(EMPTY_EDGES, Top()))
-    assert is_base(Imp(SDia(p), Box(q)))
-    assert not is_base(LDia(EMPTY_EDGES, p))
 
 
 def test_eliminate_iff_and_substitution():
@@ -128,6 +155,9 @@ def test_eliminate_iff_and_substitution():
     assert substitute_prop(And(p, Dia(p)), "p", Bot()) == \
         And(Bot(), Dia(Bot()))
     assert substitute_prop(q, "p", Bot()) == q
+    s = frozenset({("i1", "i2")})
+    assert substitute_prop(ForallNom("i1", LDia(s, p)), "p", q) == \
+        ForallNom("i1", LDia(s, q))
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +207,3 @@ def test_fresh_nominals():
 def test_fresh_skips_reserved_mid_run():
     gen = FreshNominals({"i1"})
     assert [gen.fresh() for _ in range(3)] == ["i0", "i2", "i3"]
-
-
-def test_is_nominal_name():
-    assert is_nominal_name("i0") and is_nominal_name("i17")
-    assert not is_nominal_name("p") and not is_nominal_name("i")
-    assert not is_nominal_name("i0x")
