@@ -6,7 +6,9 @@ import argparse
 import json
 import sys
 
-from .syntax import ParseError, parse_inequality, print_formula, props_of
+from .syntax import (
+    ParseError, eliminate_iff, parse_inequality, print_formula, props_of,
+)
 from .semantics import (
     FRAME_CAP, Ineq, enumerate_frames, frame_valid, print_statement,
 )
@@ -66,7 +68,7 @@ def cmd_classify(args) -> int:
               "variables": {}}
     probe = eps or {v: "1" for v in sorted(props_of(ineq.lhs) | props_of(ineq.rhs))}
     for side, sign in ((ineq.lhs, "+"), (ineq.rhs, "-")):
-        tree = build_signed_tree(side, sign)
+        tree = build_signed_tree(eliminate_iff(side), sign)
         for both in ({v: "1" for v in probe}, {v: "d" for v in probe}):
             for name, branch in critical_branches(tree, both):
                 labels = [f"{n.sign}{n.label}" for n in branch]
@@ -118,6 +120,16 @@ def cmd_correspond(args) -> int:
     return 0
 
 
+def _check(ineq: Ineq, fo, max_worlds: int):
+    """Yield (frame, input valid, correspondent holds) for every frame with
+    at most max_worlds worlds, in enumeration order."""
+    vars = sorted(props_of(ineq.lhs) | props_of(ineq.rhs))
+    for n in range(1, max_worlds + 1):
+        for frame in enumerate_frames(n):
+            yield (frame, frame_valid(frame, ineq, vars),
+                   holds_on_frame(frame, fo))
+
+
 def cmd_verify(args) -> int:
     ineq = _parse_ineq(args)
     _check_max_worlds(args)
@@ -125,19 +137,14 @@ def cmd_verify(args) -> int:
     if isinstance(result, AlbaFailure):
         print(f"failure ({result.stage}): {result.reason}")
         return 1
-    fo = correspondent(result.quasis)
-    vars = sorted(props_of(ineq.lhs) | props_of(ineq.rhs))
     checked = 0
-    for n in range(1, args.max_worlds + 1):
-        for frame in enumerate_frames(n):
-            lhs = frame_valid(frame, ineq, vars)
-            rhs = holds_on_frame(frame, fo)
-            if lhs != rhs:
-                edges = sorted(frame.r0)
-                print(f"FAIL at n={n}; edges={edges}: "
-                      f"input valid={lhs}, correspondent={rhs}")
-                return 1
-            checked += 1
+    for frame, lhs, rhs in _check(ineq, correspondent(result.quasis),
+                                  args.max_worlds):
+        if lhs != rhs:
+            print(f"FAIL at n={frame.n}; edges={sorted(frame.r0)}: "
+                  f"input valid={lhs}, correspondent={rhs}")
+            return 1
+        checked += 1
     print(f"PASS over {checked} frames (n <= {args.max_worlds})")
     return 0
 
@@ -182,11 +189,8 @@ def cmd_corpus(args) -> int:
                 print(f"{label:30} alba-failure: {result.reason}")
             all_ok = False
             continue
-        fo = correspondent(result.quasis)
-        vars = sorted(props_of(ineq.lhs) | props_of(ineq.rhs))
-        ok = all(frame_valid(frame, ineq, vars) == holds_on_frame(frame, fo)
-                 for n in range(1, args.max_worlds + 1)
-                 for frame in enumerate_frames(n))
+        ok = all(lhs == rhs for _, lhs, rhs in
+                 _check(ineq, correspondent(result.quasis), args.max_worlds))
         status = "verified" if ok else "MISMATCH"
         all_ok = all_ok and ok
         ot = ",".join(f"{k}={v}"

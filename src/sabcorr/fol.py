@@ -8,7 +8,6 @@ frame-validity harness can close them universally.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ from .syntax import (
 )
 from .semantics import (
     Ineq, KripkeFrame, MegaAnd, MegaGuard, QuasiUQ, Statement, UQIneq,
-    Valuation, enumerate_frames,
+    Valuation, enumerate_frames, valuations,
 )
 
 
@@ -231,27 +230,16 @@ class FOEvalError(ValueError):
     pass
 
 
-def _term(env: dict, val: Valuation, t: str) -> int:
-    if t in env:
-        return env[t]
-    for name, w in val.noms:
-        if name == t:
-            return w
-    msg = f"unbound name {t!r}"
-    raise FOEvalError(msg)
-
-
 def eval_fo(frame: KripkeFrame, val: Valuation, assignment: dict,
             f: FOFormula) -> bool:
-    env = dict(assignment)
-
+    """Truth of f under the valuation's nominals overlaid with assignment."""
     def ev(g: FOFormula, env: dict) -> bool:
         if isinstance(g, Eq):
-            return _term(env, val, g.a) == _term(env, val, g.b)
+            return env[g.a] == env[g.b]
         if isinstance(g, Rel):
-            return (_term(env, val, g.a), _term(env, val, g.b)) in frame.r0
+            return (env[g.a], env[g.b]) in frame.r0
         if isinstance(g, Pred):
-            return _term(env, val, g.t) in val.prop(g.name)
+            return env[g.t] in val.prop(g.name)
         if isinstance(g, FONot):
             return not ev(g.child, env)
         if isinstance(g, FOAnd):
@@ -267,7 +255,11 @@ def eval_fo(frame: KripkeFrame, val: Valuation, assignment: dict,
         msg = f"cannot evaluate {g!r}"
         raise FOEvalError(msg)
 
-    return ev(f, env)
+    try:
+        return ev(f, {**dict(val.noms), **assignment})
+    except KeyError as exc:
+        msg = f"unbound name {exc.args[0]!r}"
+        raise FOEvalError(msg) from None
 
 
 def _fo_children(f: FOFormula) -> tuple:
@@ -309,42 +301,22 @@ def pred_names(f: FOFormula) -> frozenset:
 
 
 def holds_on_frame(frame: KripkeFrame, f: FOFormula, vars=None) -> bool:
-    """Truth of f on the frame, universally closing free names and
-    quantifying predicate valuations universally."""
-    if vars is None:
-        vars = sorted(pred_names(f))
-    else:
-        vars = sorted(vars)
-    names = sorted(free_names(f))
-    worlds = list(frame.worlds)
-    subsets = [frozenset(ws) for r in range(len(worlds) + 1)
-               for ws in itertools.combinations(worlds, r)]
-    for assignment in itertools.product(subsets, repeat=len(vars)):
-        val = Valuation.make(dict(zip(vars, assignment)), {})
-        for picks in itertools.product(worlds, repeat=len(names)):
-            if not eval_fo(frame, val, dict(zip(names, picks)), f):
-                return False
-    return True
+    """Truth of f on the frame under every valuation of vars, with one
+    FOForall per free name, the first sorted name outermost."""
+    for name in sorted(free_names(f), reverse=True):
+        f = FOForall(name, f)
+    vars = sorted(pred_names(f) if vars is None else vars)
+    return all(eval_fo(frame, val, {}, f) for val in valuations(frame, vars))
 
 
 def fo_equiv_on_small_frames(f1: FOFormula, f2: FOFormula, max_n: int = 3,
                              vars=()) -> bool:
     """True iff f1 and f2 agree on every frame with 1..max_n worlds, every
     valuation of vars, and every assignment of their free names."""
-    vars = sorted(set(vars) | set(pred_names(f1)) | set(pred_names(f2)))
-    names = sorted(free_names(f1) | free_names(f2))
-    for n in range(1, max_n + 1):
-        for frame in enumerate_frames(n):
-            worlds = list(frame.worlds)
-            subsets = [frozenset(ws) for r in range(len(worlds) + 1)
-                       for ws in itertools.combinations(worlds, r)]
-            for assignment in itertools.product(subsets, repeat=len(vars)):
-                val = Valuation.make(dict(zip(vars, assignment)), {})
-                for picks in itertools.product(worlds, repeat=len(names)):
-                    env = dict(zip(names, picks))
-                    if eval_fo(frame, val, env, f1) != eval_fo(frame, val, env, f2):
-                        return False
-    return True
+    vars = set(vars) | pred_names(f1) | pred_names(f2)
+    both = FOAnd((FOImp(f1, f2), FOImp(f2, f1)))
+    return all(holds_on_frame(frame, both, vars)
+               for n in range(1, max_n + 1) for frame in enumerate_frames(n))
 
 
 # ---------------------------------------------------------------------------

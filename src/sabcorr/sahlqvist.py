@@ -8,6 +8,7 @@ An order type maps each variable to '1' or 'd' (for the dual order); a leaf
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .syntax import CONNECTIVES, Formula, eliminate_iff, props_of
@@ -87,24 +88,31 @@ def is_excellent_branch(branch) -> bool:
     return False
 
 
+def _signed_trees(ineq: Ineq) -> tuple:
+    """The Iff-free signed trees of both sides; no order type is needed."""
+    return (build_signed_tree(eliminate_iff(ineq.lhs), "+"),
+            build_signed_tree(eliminate_iff(ineq.rhs), "-"))
+
+
+def _all_excellent(trees, eps: dict) -> bool:
+    return all(is_excellent_branch(branch) for tree in trees
+               for _, branch in critical_branches(tree, eps))
+
+
 def is_epsilon_sahlqvist(ineq: Ineq, eps: dict) -> bool:
-    lhs = build_signed_tree(eliminate_iff(ineq.lhs), "+")
-    rhs = build_signed_tree(eliminate_iff(ineq.rhs), "-")
-    for tree in (lhs, rhs):
-        for _, branch in critical_branches(tree, eps):
-            if not is_excellent_branch(branch):
-                return False
-    return True
+    """eps covers every variable and makes every critical branch excellent."""
+    return (props_of(ineq.lhs) | props_of(ineq.rhs) <= eps.keys()
+            and _all_excellent(_signed_trees(ineq), eps))
 
 
 def find_order_type(ineq: Ineq):
     """First order type (lexicographic, '1' before 'd') making the
     inequality Sahlqvist, or None."""
-    import itertools
     names = sorted(props_of(ineq.lhs) | props_of(ineq.rhs))
+    trees = _signed_trees(ineq)
     for values in itertools.product("1d", repeat=len(names)):
         eps = dict(zip(names, values))
-        if is_epsilon_sahlqvist(ineq, eps):
+        if _all_excellent(trees, eps):
             return eps
     return None
 

@@ -8,6 +8,7 @@ quantify over all worlds under the current relation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -179,7 +180,7 @@ class MegaGuard(Statement):
 @dataclass(frozen=True)
 class UQIneq(Statement):
     binders: tuple
-    body: Ineq
+    body: Statement
 
 
 @dataclass(frozen=True)
@@ -267,33 +268,33 @@ def statement_nominals(s: Statement) -> frozenset:
     raise EvalError(msg)
 
 
+@functools.cache
+def _world_sets(n: int) -> tuple:
+    return tuple(frozenset(w for w in range(n) if mask >> w & 1)
+                 for mask in range(1 << n))
+
+
+def valuations(frame: KripkeFrame, props):
+    """Every valuation of `props` on the frame, with no nominals.  Each world
+    set is read from an ascending bit mask; the first name varies slowest."""
+    for choice in itertools.product(_world_sets(frame.n), repeat=len(props)):
+        yield Valuation.make(dict(zip(props, choice)))
+
+
 def frame_valid(frame: KripkeFrame, s, vars=None) -> bool:
     """True iff s holds under every valuation of vars and every assignment
-    of worlds to the free nominals of s.
+    of worlds to the free nominals of s, which are closed by a UQIneq.
 
     A bare formula phi is checked as top <= phi.
     """
     if isinstance(s, Formula):
         s = Ineq(Top(), s)
-    if vars is None:
-        vars = sorted(statement_props(s))
-    else:
-        vars = sorted(vars)
-    free_noms = sorted(statement_nominals(s))
-    worlds = list(frame.worlds)
-    subsets = list(_subsets(worlds))
-    for assignment in itertools.product(subsets, repeat=len(vars)):
-        props = dict(zip(vars, assignment))
-        for noms in itertools.product(worlds, repeat=len(free_noms)):
-            val = Valuation.make(props, dict(zip(free_noms, noms)))
-            if not eval_statement(frame, val, s):
-                return False
-    return True
-
-
-def _subsets(worlds):
-    for mask in range(1 << len(worlds)):
-        yield frozenset(w for i, w in enumerate(worlds) if mask >> i & 1)
+    free_noms = tuple(sorted(statement_nominals(s)))
+    if free_noms:
+        s = UQIneq(free_noms, s)
+    vars = sorted(statement_props(s) if vars is None else vars)
+    return all(eval_statement(frame, val, s)
+               for val in valuations(frame, vars))
 
 
 def enumerate_frames(n: int):

@@ -1,11 +1,14 @@
 """Command-line interface tests: exit codes, formats, corpus handling."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sabcorr.cli import load_corpus, main
-from sabcorr.syntax import Box, Dia, Prop
+from sabcorr.syntax import _SYMBOLS, Box, Dia, Prop
 from sabcorr.semantics import Ineq
 
 
@@ -43,6 +46,22 @@ def test_classify_order_type_override(capsys):
     assert main(["classify", "--formula", "p -> <>[]p",
                  "--order-type", "p=d"]) == 1
     capsys.readouterr()
+
+
+def test_classify_order_type_missing_a_variable(capsys):
+    # correspond fails at stage classify with the same order type
+    assert main(["classify", "--formula", "[]<>p -> <>[]p",
+                 "--order-type", "q=1"]) == 1
+    assert capsys.readouterr().out.startswith("not sahlqvist\n")
+
+
+def test_classify_reports_the_iff_free_branches(capsys):
+    # the verdict is decided on p -> []p and []p -> p, so the report lists
+    # their branches, not those of a single iff node
+    assert main(["classify", "--formula", "p <-> []p"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("sahlqvist\n")
+    assert out.count("] excellent") == 4 and "not excellent" not in out
 
 
 def test_correspond_text_and_failure(capsys):
@@ -176,3 +195,50 @@ def test_corpus_max_worlds_cap(tmp_path, capsys):
     path.write_text("[]p -> p\n")
     assert main(["corpus", "--file", str(path), "--max-worlds", "0"]) == 2
     assert "--max-worlds must be in 1..4" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# contract: every argv ends in exit 0, 1 or 2, never in a traceback
+
+_TOKENS = sorted(_SYMBOLS) + ["top", "bot", "p", "q", "i0", "?"]
+_ORDER_TYPES = ["p=1", "p=d", "q=1", "p=1,q=d", "p=x", "p", ""]
+_PREFIX = ["~", "<>", "[]", "<!>", "[!]"]
+_INFIX = ["&", "|", "->", "<->"]
+# well-formed text over the same tokens, since few random strings parse
+_WELL_FORMED = st.recursive(
+    st.sampled_from(["p", "q", "top", "bot"]),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(_PREFIX), sub).map(" ".join),
+        st.tuples(sub, st.sampled_from(_INFIX), sub).map(
+            lambda t: "( " + " ".join(t) + " )")),
+    max_leaves=4)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["parse", "classify", "correspond",
+                                    "verify"]))
+    text = draw(st.one_of(
+        st.lists(st.sampled_from(_TOKENS), max_size=12).map(" ".join),
+        _WELL_FORMED))
+    argv = [command, "--formula", text]
+    if command == "verify":
+        argv += ["--max-worlds", str(draw(st.integers(1, 2)))]
+    if command != "parse" and draw(st.booleans()):
+        argv += ["--order-type", draw(st.sampled_from(_ORDER_TYPES))]
+    if command in ("classify", "correspond") and draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "json", "tptp"]))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_cli_contract_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the options
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -6,10 +6,12 @@ import re
 import pytest
 
 from sabcorr.syntax import (
-    Bot, Box, Dia, Imp, Nom, Prop, SDia, Top, EMPTY_EDGES, parse_inequality,
+    And, Bot, Box, Dia, Imp, Nom, Or, Prop, SDia, Top, EMPTY_EDGES,
+    parse_inequality,
 )
 from sabcorr.semantics import (
     Ineq, KripkeFrame, MegaAnd, MegaGuard, QuasiUQ, UQIneq, Valuation,
+    enumerate_frames, frame_valid, statement_props,
 )
 from sabcorr.alba import AlbaSuccess, run_alba
 from sabcorr.fol import (
@@ -116,6 +118,29 @@ def test_holds_on_frame():
     # free names are closed universally
     two = KripkeFrame(2, frozenset({(0, 0)}))
     assert not holds_on_frame(two, Rel("i1", "i1"))
+
+
+def test_modal_and_fo_closures_agree():
+    # frame_valid closes free nominals with a UQIneq, holds_on_frame closes
+    # free names with FOForall and quantifies over predicate valuations;
+    # every statement here has a proposition and a free nominal
+    statements = [
+        Ineq(And(Nom("i1"), p), Dia(p)),
+        Ineq(Nom("i1"), Box(p), sup=frozenset({("i1", "i2")})),
+        MegaGuard("i2", "i3", frozenset({("i1", "i1")}),
+                  Ineq(Nom("i3"), Box(p))),
+        UQIneq(("i2",), Ineq(And(Nom("i2"), p), Dia(Or(p, Nom("i1"))))),
+        QuasiUQ((Ineq(Nom("i1"), p),), Ineq(Nom("i2"), Dia(p))),
+    ]
+    for s in statements:
+        vars = sorted(statement_props(s))
+        fo = st_statement(s)
+        verdicts = set()
+        for frame in (f for n in (1, 2) for f in enumerate_frames(n)):
+            valid = frame_valid(frame, s, vars)
+            assert holds_on_frame(frame, fo, vars) == valid, (s, frame)
+            verdicts.add(valid)
+        assert verdicts == {True, False}, s
 
 
 def test_fo_equiv_on_small_frames():

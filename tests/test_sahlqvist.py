@@ -166,6 +166,14 @@ def test_is_epsilon_sahlqvist_examples():
     assert not is_epsilon_sahlqvist(ineq("[]<>p <= <>[]p"), {"p": "d"})
 
 
+def test_order_type_must_cover_every_variable():
+    # an unassigned variable has no critical leaf, so the trees alone would
+    # pass; run_alba rejects such an order type at stage classify
+    assert not is_epsilon_sahlqvist(ineq("[]p <= p"), {"q": "1"})
+    assert not is_epsilon_sahlqvist(ineq("[]<>p <= <>[]p"), {})
+    assert is_epsilon_sahlqvist(Ineq(Top(), SDia(Top())), {})
+
+
 def test_iff_is_eliminated_before_classification():
     # p <-> q expands to implications; critical leaves then sit under a
     # +imp node, which is neither inner nor outer, so no order type works

@@ -17,7 +17,7 @@ from sabcorr.semantics import (
     EvalError, Ineq, KripkeFrame, MegaAnd, MegaGuard, QuasiUQ, UQIneq,
     Valuation, edges_of, enumerate_frames, eval_statement, frame_valid,
     print_statement, satisfies, statement_nominals,
-    statement_props,
+    statement_props, valuations,
 )
 
 p, q = Prop("p"), Prop("q")
@@ -242,6 +242,19 @@ def test_frame_valid_closes_nominals_universally():
     s = Ineq(Nom("i1"), Dia(Top()))
     assert frame_valid(loop, s)
     assert not frame_valid(two, s)  # i1 = 1 has no successor
+
+
+def test_valuations_count_and_mask_order():
+    frame = KripkeFrame(2, frozenset())
+    subsets = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
+    got = [(v.prop("p"), v.prop("q")) for v in valuations(frame, ["p", "q"])]
+    assert got == list(itertools.product(subsets, repeat=2))
+    for n in (1, 2, 3):
+        frame = KripkeFrame(n, frozenset())
+        for k in (0, 1, 2):
+            vals = list(valuations(frame, ["p", "q"][:k]))
+            assert len(vals) == 2 ** (n * k)
+            assert all(v.noms == () for v in vals)
 
 
 def test_enumerate_frames():
