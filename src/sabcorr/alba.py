@@ -18,8 +18,8 @@ from .syntax import (
     props_of, substitute_prop,
 )
 from .semantics import (
-    Ineq, MegaGuard, QuasiUQ, Statement, UQIneq, print_statement,
-    statement_props,
+    Ineq, MegaGuard, QuasiUQ, Statement, UQIneq, map_formulas,
+    print_statement, statement_props,
 )
 from .sahlqvist import (
     build_signed_tree, classify_node, find_order_type,
@@ -208,13 +208,7 @@ def preprocess(ineq: Ineq, trace=None) -> list:
             break
         if not eliminated:
             out.append(cur)
-    seen = set()
-    unique = []
-    for q in out:
-        if q not in seen:
-            seen.add(q)
-            unique.append(q)
-    return unique
+    return list(dict.fromkeys(out))
 
 
 # ---------------------------------------------------------------------------
@@ -283,22 +277,23 @@ def _outer_step(item: WorkItem, gen: FreshNominals):
     return None
 
 
-def reduce_outer(sys: System) -> System:
-    changed = True
-    while changed:
-        changed = False
+def _rewrite(sys: System, step, stage: str) -> System:
+    """Replace the first active item that `step` rewrites by what it
+    produces, recording the rule, until no active item is rewritten."""
+    while True:
         for idx, item in enumerate(sys.items):
-            if item.active == "none":
-                continue
-            step = _outer_step(item, sys.gen)
-            if step is None:
-                continue
-            rule, new_items = step
-            sys.items[idx:idx + 1] = new_items
-            sys.record("substage-1", rule, [item], new_items)
-            changed = True
-            break
-    _check_substage1(sys)
+            out = item.active != "none" and step(item, sys.gen)
+            if out:
+                rule, new_items = out
+                sys.items[idx:idx + 1] = new_items
+                sys.record(stage, rule, [item], new_items)
+                break
+        else:
+            return sys
+
+
+def reduce_outer(sys: System) -> System:
+    _check_substage1(_rewrite(sys, _outer_step, "substage-1"))
     return sys
 
 
@@ -360,21 +355,7 @@ def _inner_step(item: WorkItem, gen: FreshNominals):
 
 
 def reduce_inner(sys: System) -> System:
-    changed = True
-    while changed:
-        changed = False
-        for idx, item in enumerate(sys.items):
-            if item.active == "none":
-                continue
-            step = _inner_step(item, sys.gen)
-            if step is None:
-                continue
-            rule, new_items = step
-            sys.items[idx:idx + 1] = new_items
-            sys.record("substage-2", rule, [item], new_items)
-            changed = True
-            break
-    _check_substage2(sys)
+    _check_substage2(_rewrite(sys, _inner_step, "substage-2"))
     return sys
 
 
@@ -465,16 +446,6 @@ def pack(sys: System) -> System:
 # ---------------------------------------------------------------------------
 # substage 4: Ackermann elimination
 
-def _subst_statement(st: Statement, p: str, repl: Formula) -> Statement:
-    if isinstance(st, Ineq):
-        return Ineq(substitute_prop(st.lhs, p, repl),
-                    substitute_prop(st.rhs, p, repl), st.sup, st.sub)
-    if isinstance(st, UQIneq):
-        return UQIneq(st.binders, _subst_statement(st.body, p, repl))
-    msg = f"cannot substitute into {st!r}"
-    raise PreconditionError("substage 4", msg)
-
-
 def _body_of(st: Statement) -> Ineq:
     return st.body if isinstance(st, UQIneq) else st
 
@@ -519,7 +490,7 @@ def ackermann_eliminate(sys: System, p: str, handedness: str) -> System:
             raise PreconditionError(
                 "substage 4",
                 f"{p} occurs with the wrong polarity in {_show(st)}")
-        new = _subst_statement(st, p, repl)
+        new = map_formulas(st, lambda f: substitute_prop(f, p, repl))
         if new != st:
             changed_from.append(st)
             changed_to.append(new)

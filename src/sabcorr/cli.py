@@ -17,7 +17,7 @@ from .sahlqvist import (
     is_epsilon_sahlqvist, is_excellent_branch, parse_order_type,
 )
 from .alba import AlbaFailure, run_alba
-from .fol import correspondent, emit_fo, holds_on_frame
+from .fol import closure, correspondent, emit_fo, holds_on_frame, pred_names
 
 
 class UsageError(Exception):
@@ -124,10 +124,11 @@ def _check(ineq: Ineq, fo, max_worlds: int):
     """Yield (frame, input valid, correspondent holds) for every frame with
     at most max_worlds worlds, in enumeration order."""
     vars = sorted(props_of(ineq.lhs) | props_of(ineq.rhs))
+    sentence, preds = closure(fo), sorted(pred_names(fo))
     for n in range(1, max_worlds + 1):
         for frame in enumerate_frames(n):
             yield (frame, frame_valid(frame, ineq, vars),
-                   holds_on_frame(frame, fo))
+                   holds_on_frame(frame, sentence, preds))
 
 
 def cmd_verify(args) -> int:
@@ -254,7 +255,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UsageError) as exc:
+    except (OSError, UnicodeDecodeError, UsageError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except RecursionError:

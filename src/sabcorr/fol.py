@@ -1,5 +1,5 @@
 """First-order correspondence language: standard translation, evaluation
-over finite frames, equivalence checking, and text/JSON/TPTP emission.
+over finite frames, and text/JSON/TPTP emission.
 
 Terms are plain strings: domain variables (x, y0, y1, ...) and nominal
 names (i0, i1, ...), which are treated as quantifiable variables so the
@@ -17,7 +17,7 @@ from .syntax import (
 )
 from .semantics import (
     Ineq, KripkeFrame, MegaAnd, MegaGuard, QuasiUQ, Statement, UQIneq,
-    Valuation, enumerate_frames, valuations,
+    Valuation, valuations,
 )
 
 
@@ -132,9 +132,7 @@ def st_formula(f: Formula, x: str, e: tuple, gen: _VarGen) -> FOFormula:
     if isinstance(f, Iff):
         a = st_formula(f.left, x, e, gen)
         b = st_formula(f.right, x, e, gen)
-        c = st_formula(f.left, x, e, gen)
-        d = st_formula(f.right, x, e, gen)
-        return FOAnd((FOImp(a, b), FOImp(d, c)))
+        return FOAnd((FOImp(a, b), FOImp(b, a)))
     if isinstance(f, Dia):
         y = gen.fresh()
         return FOExists(y, fo_and([Rel(x, y), *_exclusions(e, x, y),
@@ -239,7 +237,7 @@ def eval_fo(frame: KripkeFrame, val: Valuation, assignment: dict,
         if isinstance(g, Rel):
             return (env[g.a], env[g.b]) in frame.r0
         if isinstance(g, Pred):
-            return env[g.t] in val.prop(g.name)
+            return bool(val.props.get(g.name, 0) >> env[g.t] & 1)
         if isinstance(g, FONot):
             return not ev(g.child, env)
         if isinstance(g, FOAnd):
@@ -256,26 +254,29 @@ def eval_fo(frame: KripkeFrame, val: Valuation, assignment: dict,
         raise FOEvalError(msg)
 
     try:
-        return ev(f, {**dict(val.noms), **assignment})
+        return ev(f, {**val.noms, **assignment})
     except KeyError as exc:
         msg = f"unbound name {exc.args[0]!r}"
         raise FOEvalError(msg) from None
 
 
+# The FO node table: per class, its JSON key, its names (terms, a
+# predicate's name, a bound variable) and its subformulas.
+_FO_NODES = {
+    Eq: ("eq", lambda f: (f.a, f.b), lambda f: ()),
+    Rel: ("r", lambda f: (f.a, f.b), lambda f: ()),
+    Pred: ("pred", lambda f: (f.name, f.t), lambda f: ()),
+    FONot: ("not", lambda f: (), lambda f: (f.child,)),
+    FOAnd: ("and", lambda f: (), lambda f: f.parts),
+    FOOr: ("or", lambda f: (), lambda f: f.parts),
+    FOImp: ("imp", lambda f: (), lambda f: (f.left, f.right)),
+    FOForall: ("forall", lambda f: (f.var,), lambda f: (f.body,)),
+    FOExists: ("exists", lambda f: (f.var,), lambda f: (f.body,)),
+}
+
+
 def _fo_children(f: FOFormula) -> tuple:
-    t = type(f)
-    if t is FOAnd or t is FOOr:
-        return f.parts
-    if t is FONot:
-        return (f.child,)
-    if t is FOImp:
-        return (f.left, f.right)
-    if t is FOForall or t is FOExists:
-        return (f.body,)
-    if t is Eq or t is Rel or t is Pred:
-        return ()
-    msg = f"not a formula: {f!r}"
-    raise FOEvalError(msg)
+    return _FO_NODES[type(f)][2](f)
 
 
 def free_names(f: FOFormula) -> frozenset:
@@ -300,23 +301,19 @@ def pred_names(f: FOFormula) -> frozenset:
     return out
 
 
-def holds_on_frame(frame: KripkeFrame, f: FOFormula, vars=None) -> bool:
-    """Truth of f on the frame under every valuation of vars, with one
-    FOForall per free name, the first sorted name outermost."""
+def closure(f: FOFormula) -> FOFormula:
+    """f with one FOForall per free name, the first sorted name outermost."""
     for name in sorted(free_names(f), reverse=True):
         f = FOForall(name, f)
-    vars = sorted(pred_names(f) if vars is None else vars)
-    return all(eval_fo(frame, val, {}, f) for val in valuations(frame, vars))
+    return f
 
 
-def fo_equiv_on_small_frames(f1: FOFormula, f2: FOFormula, max_n: int = 3,
-                             vars=()) -> bool:
-    """True iff f1 and f2 agree on every frame with 1..max_n worlds, every
-    valuation of vars, and every assignment of their free names."""
-    vars = set(vars) | pred_names(f1) | pred_names(f2)
-    both = FOAnd((FOImp(f1, f2), FOImp(f2, f1)))
-    return all(holds_on_frame(frame, both, vars)
-               for n in range(1, max_n + 1) for frame in enumerate_frames(n))
+def holds_on_frame(frame: KripkeFrame, sentence: FOFormula, vars=None) -> bool:
+    """Truth of a sentence on the frame under every valuation of vars, by
+    default its predicates; free names are the caller's to close."""
+    vars = sorted(pred_names(sentence)) if vars is None else vars
+    return all(eval_fo(frame, val, {}, sentence)
+               for val in valuations(frame, vars))
 
 
 # ---------------------------------------------------------------------------
@@ -367,26 +364,8 @@ def _emit(f: FOFormula, d: dict) -> str:
 
 
 def _as_json(f: FOFormula):
-    if isinstance(f, Eq):
-        return {"eq": [f.a, f.b]}
-    if isinstance(f, Rel):
-        return {"r": [f.a, f.b]}
-    if isinstance(f, Pred):
-        return {"pred": [f.name, f.t]}
-    if isinstance(f, FONot):
-        return {"not": [_as_json(f.child)]}
-    if isinstance(f, FOAnd):
-        return {"and": [_as_json(p) for p in f.parts]}
-    if isinstance(f, FOOr):
-        return {"or": [_as_json(p) for p in f.parts]}
-    if isinstance(f, FOImp):
-        return {"imp": [_as_json(f.left), _as_json(f.right)]}
-    if isinstance(f, FOForall):
-        return {"forall": [f.var, _as_json(f.body)]}
-    if isinstance(f, FOExists):
-        return {"exists": [f.var, _as_json(f.body)]}
-    msg = f"cannot emit {f!r}"
-    raise ValueError(msg)
+    key, names, kids = _FO_NODES[type(f)]
+    return {key: [*names(f), *map(_as_json, kids(f))]}
 
 
 def emit_fo(f: FOFormula, format: str = "text") -> str:

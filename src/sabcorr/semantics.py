@@ -8,14 +8,15 @@ quantify over all worlds under the current relation.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 from .syntax import (
     And, Bot, Box, Dia, ExistsNom, ForallNom, Formula, GBox, GDia, Iff, Imp,
     InvLBox, InvLDia, LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top,
     EMPTY_EDGES, EdgeLabelSet, nominals_of, print_edge_set, print_formula,
+    props_of,
 )
 
 FRAME_CAP = 4
@@ -46,32 +47,24 @@ class KripkeFrame:
 
 @dataclass(frozen=True)
 class Valuation:
-    props: tuple = ()  # sorted tuple of (name, frozenset of worlds)
-    noms: tuple = ()   # sorted tuple of (name, world)
+    props: dict = field(default_factory=dict)  # name -> bit mask of worlds
+    noms: dict = field(default_factory=dict)   # name -> world
 
     @staticmethod
     def make(props=None, noms=None) -> "Valuation":
-        props = props or {}
-        noms = noms or {}
-        return Valuation(tuple(sorted((k, frozenset(v)) for k, v in props.items())),
-                         tuple(sorted(noms.items())))
-
-    def prop(self, name: str) -> frozenset:
-        for k, v in self.props:
-            if k == name:
-                return v
-        return frozenset()
+        """A valuation from world sets for props and worlds for noms."""
+        return Valuation({k: sum(1 << w for w in set(v))
+                          for k, v in (props or {}).items()}, dict(noms or {}))
 
     def nom(self, name: str) -> int:
-        for k, v in self.noms:
-            if k == name:
-                return v
-        msg = f"uninterpreted nominal {name!r}"
-        raise EvalError(msg)
+        try:
+            return self.noms[name]
+        except KeyError:
+            msg = f"uninterpreted nominal {name!r}"
+            raise EvalError(msg) from None
 
     def with_nom(self, name: str, world: int) -> "Valuation":
-        kept = tuple((k, v) for k, v in self.noms if k != name)
-        return Valuation(self.props, tuple(sorted(kept + ((name, world),))))
+        return Valuation(self.props, {**self.noms, name: world})
 
 
 def edges_of(val: Valuation, s: EdgeLabelSet) -> frozenset:
@@ -86,7 +79,7 @@ def satisfies(frame: KripkeFrame, val: Valuation, deleted: frozenset,
     if isinstance(f, Top):
         return True
     if isinstance(f, Prop):
-        return w in val.prop(f.name)
+        return bool(val.props.get(f.name, 0) >> w & 1)
     if isinstance(f, Nom):
         return w == val.nom(f.name)
     if isinstance(f, Not):
@@ -220,65 +213,58 @@ def eval_statement(frame: KripkeFrame, val: Valuation, s: Statement) -> bool:
     raise EvalError(msg)
 
 
+# The statement table: per class, its formulas, its sub-statements, the
+# nominal pairs of its edge labels, the names it binds, and how to copy a
+# statement with new formulas and sub-statements.
+_Row = namedtuple("_Row", "formulas parts edges binds rebuild")
+
+
+def _none(s):
+    return ()
+
+
+STATEMENTS = {
+    Ineq: _Row(lambda s: (s.lhs, s.rhs), _none, lambda s: (*s.sup, *s.sub),
+               _none, lambda s, fs, ps: Ineq(*fs, s.sup, s.sub)),
+    MegaAnd: _Row(_none, lambda s: s.parts, _none, _none,
+                  lambda s, fs, ps: MegaAnd(ps)),
+    MegaGuard: _Row(_none, lambda s: (s.body,), lambda s: s.s,
+                    lambda s: (s.m0, s.m1),
+                    lambda s, fs, ps: MegaGuard(s.m0, s.m1, s.s, *ps)),
+    UQIneq: _Row(_none, lambda s: (s.body,), _none, lambda s: s.binders,
+                 lambda s, fs, ps: UQIneq(s.binders, *ps)),
+    QuasiUQ: _Row(_none, lambda s: (*s.premises, s.conclusion), _none, _none,
+                  lambda s, fs, ps: QuasiUQ(ps[:-1], ps[-1])),
+}
+
+
 def statement_props(s: Statement) -> frozenset:
-    from .syntax import props_of
-    if isinstance(s, Ineq):
-        return props_of(s.lhs) | props_of(s.rhs)
-    if isinstance(s, MegaAnd):
-        out = frozenset()
-        for p in s.parts:
-            out |= statement_props(p)
-        return out
-    if isinstance(s, MegaGuard):
-        return statement_props(s.body)
-    if isinstance(s, UQIneq):
-        return statement_props(s.body)
-    if isinstance(s, QuasiUQ):
-        out = statement_props(s.conclusion)
-        for p in s.premises:
-            out |= statement_props(p)
-        return out
-    msg = f"not a statement: {s!r}"
-    raise EvalError(msg)
+    row = STATEMENTS[type(s)]
+    return frozenset().union(*map(props_of, row.formulas(s)),
+                             *map(statement_props, row.parts(s)))
 
 
 def statement_nominals(s: Statement) -> frozenset:
     """Free nominal names of a statement."""
-    if isinstance(s, Ineq):
-        names = nominals_of(s.lhs) | nominals_of(s.rhs)
-        names |= {n for pair in s.sup for n in pair}
-        names |= {n for pair in s.sub for n in pair}
-        return names
-    if isinstance(s, MegaAnd):
-        out = frozenset()
-        for p in s.parts:
-            out |= statement_nominals(p)
-        return out
-    if isinstance(s, MegaGuard):
-        names = statement_nominals(s.body) | {n for pair in s.s for n in pair}
-        return names - {s.m0, s.m1}
-    if isinstance(s, UQIneq):
-        return statement_nominals(s.body) - frozenset(s.binders)
-    if isinstance(s, QuasiUQ):
-        out = statement_nominals(s.conclusion)
-        for p in s.premises:
-            out |= statement_nominals(p)
-        return out
-    msg = f"not a statement: {s!r}"
-    raise EvalError(msg)
+    row = STATEMENTS[type(s)]
+    names = frozenset(n for pair in row.edges(s) for n in pair)
+    names = names.union(*map(nominals_of, row.formulas(s)),
+                        *map(statement_nominals, row.parts(s)))
+    return names - set(row.binds(s))
 
 
-@functools.cache
-def _world_sets(n: int) -> tuple:
-    return tuple(frozenset(w for w in range(n) if mask >> w & 1)
-                 for mask in range(1 << n))
+def map_formulas(s: Statement, fn) -> Statement:
+    """s with fn applied to every formula in it, at any depth."""
+    row = STATEMENTS[type(s)]
+    return row.rebuild(s, tuple(map(fn, row.formulas(s))),
+                       tuple(map_formulas(p, fn) for p in row.parts(s)))
 
 
 def valuations(frame: KripkeFrame, props):
-    """Every valuation of `props` on the frame, with no nominals.  Each world
-    set is read from an ascending bit mask; the first name varies slowest."""
-    for choice in itertools.product(_world_sets(frame.n), repeat=len(props)):
-        yield Valuation.make(dict(zip(props, choice)))
+    """Every valuation of `props` on the frame, with no nominals.  Each name
+    maps to a bit mask of worlds, ascending; the first name varies slowest."""
+    for masks in itertools.product(range(1 << frame.n), repeat=len(props)):
+        yield Valuation(dict(zip(props, masks)))
 
 
 def frame_valid(frame: KripkeFrame, s, vars=None) -> bool:

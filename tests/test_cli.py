@@ -115,6 +115,16 @@ def test_missing_file_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["parse", "classify", "correspond",
+                                     "verify", "corpus"])
+def test_file_not_utf8_exit_2(command, tmp_path, capsys):
+    path = tmp_path / "in.sml"
+    path.write_bytes(b"\xff\xfe[]p -> p\n")
+    assert main([command, "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "utf-8" in captured.err and captured.out == ""
+
+
 def test_formula_from_file(tmp_path, capsys):
     path = tmp_path / "in.sml"
     path.write_text("[]p -> p\n")
@@ -214,31 +224,47 @@ _WELL_FORMED = st.recursive(
     max_leaves=4)
 
 
+# formula text: a random token string or a well-formed formula
+_TEXT = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=12).map(" ".join),
+    _WELL_FORMED)
+# what --file reads: up to three lines of formula text, or arbitrary bytes
+_FILE = st.one_of(st.lists(_TEXT, min_size=1, max_size=3).map(
+    lambda lines: "\n".join(lines).encode()), st.binary(max_size=24))
+
+
 @st.composite
 def _argv(draw):
+    """An argv, with `None` in place of the input file's path, and the bytes
+    of that file, or None if the input is given by --formula."""
     command = draw(st.sampled_from(["parse", "classify", "correspond",
-                                    "verify"]))
-    text = draw(st.one_of(
-        st.lists(st.sampled_from(_TOKENS), max_size=12).map(" ".join),
-        _WELL_FORMED))
-    argv = [command, "--formula", text]
-    if command == "verify":
+                                    "verify", "corpus"]))
+    if command == "corpus" or draw(st.booleans()):
+        argv, data = [command, "--file", None], draw(_FILE)
+    else:
+        argv, data = [command, "--formula", draw(_TEXT)], None
+    if command in ("verify", "corpus"):
         argv += ["--max-worlds", str(draw(st.integers(1, 2)))]
-    if command != "parse" and draw(st.booleans()):
+    if command not in ("parse", "corpus") and draw(st.booleans()):
         argv += ["--order-type", draw(st.sampled_from(_ORDER_TYPES))]
     if command in ("classify", "correspond") and draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["text", "json", "tptp"]))]
-    return argv
+    return argv, data
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_argv())
-def test_cli_contract_fuzz(argv):
+def test_cli_contract_fuzz(tmp_path_factory, case):
+    argv, data = case
+    if data is not None:
+        path = tmp_path_factory.getbasetemp() / "fuzz-input.txt"
+        path.write_bytes(data)
+        argv = [str(path) if a is None else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the options
             code = exc.code
-    assert code in (0, 1, 2), argv
-    assert "Traceback" not in err.getvalue(), argv
+    assert code in (0, 1, 2), (argv, data)
+    assert "Traceback" not in err.getvalue(), (argv, data)

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from sabcorr.syntax import (
-    And, Bot, Box, Dia, Imp, Nom, Or, Prop, SDia, Top, EMPTY_EDGES,
+    And, Bot, Box, Dia, Iff, Imp, Nom, Or, Prop, SDia, Top, EMPTY_EDGES,
     parse_inequality,
 )
 from sabcorr.semantics import (
@@ -16,10 +16,12 @@ from sabcorr.semantics import (
 from sabcorr.alba import AlbaSuccess, run_alba
 from sabcorr.fol import (
     Eq, FOAnd, FOEvalError, FOExists, FOForall, FOImp, FONot, FOOr, Pred,
-    Rel, correspondent, emit_fo, eval_fo, fo_and, fo_equiv_on_small_frames,
-    fo_or, free_names, holds_on_frame, pred_names, st_formula, st_statement,
-    translate_formula, _VarGen,
+    Rel, closure, correspondent, emit_fo, eval_fo, fo_and, fo_or, free_names,
+    holds_on_frame, pred_names, st_formula, st_statement, translate_formula,
+    _VarGen,
 )
+
+from fo_equiv import fo_equiv_on_small_frames
 
 p = Prop("p")
 
@@ -47,6 +49,14 @@ def test_st_constants_and_nominals():
     assert translate_formula(Bot()) == FONot(Eq("x", "x"))
     assert translate_formula(Top()) == Eq("x", "x")
     assert translate_formula(Nom("i4")) == Eq("x", "i4")
+
+
+def test_st_iff_translates_each_side_once():
+    out = translate_formula(Iff(Dia(p), Box(p)))
+    a, b = out.parts[0].left, out.parts[0].right
+    assert out == FOAnd((FOImp(a, b), FOImp(b, a)))
+    assert emit_fo(a) == "exists y0. (R(x,y0) & P_p(y0))"
+    assert emit_fo(b) == "forall y1. (R(x,y1) -> P_p(y1))"
 
 
 def test_st_empty_exclusion_dropped():
@@ -117,7 +127,13 @@ def test_holds_on_frame():
     assert not holds_on_frame(empty, refl)
     # free names are closed universally
     two = KripkeFrame(2, frozenset({(0, 0)}))
-    assert not holds_on_frame(two, Rel("i1", "i1"))
+    assert not holds_on_frame(two, closure(Rel("i1", "i1")))
+
+
+def test_closure_binds_free_names_first_sorted_outermost():
+    f = FOExists("y", FOImp(Rel("i2", "y"), Pred("p", "i1")))
+    assert closure(f) == FOForall("i1", FOForall("i2", f))
+    assert closure(closure(f)) == closure(f)
 
 
 def test_modal_and_fo_closures_agree():
@@ -138,7 +154,8 @@ def test_modal_and_fo_closures_agree():
         verdicts = set()
         for frame in (f for n in (1, 2) for f in enumerate_frames(n)):
             valid = frame_valid(frame, s, vars)
-            assert holds_on_frame(frame, fo, vars) == valid, (s, frame)
+            assert holds_on_frame(frame, closure(fo), vars) == valid, \
+                (s, frame)
             verdicts.add(valid)
         assert verdicts == {True, False}, s
 

@@ -1,6 +1,7 @@
 """The benchmark's own modules under bench/ against the program: `correspond`
 on every shipped corpus entry, in text, JSON and TPTP, against the golden
-outputs in bench/golden/, and the tracer's view of the check layer."""
+outputs in bench/golden/, and the tracer's view of the check layer and of
+the ALBA stages."""
 
 import importlib.util
 from pathlib import Path
@@ -46,3 +47,20 @@ def test_tracer_sees_the_check_layer(capsys):
     assert tracer.counts["semantics.frames"] == 18
     # the correspondent has no predicate: one eval_fo per frame
     assert tracer.counts["fol.assignments"] == 18
+
+
+def test_tracer_sees_every_alba_stage(capsys):
+    # run_alba reaches each stage through alba's globals, where the tracer
+    # wraps it; a stage called some other way would read zero in its metrics
+    tracer = _bench_module("spans").Tracer()
+    restore = tracer.install({"cli": cli, "alba": alba, "fol": fol,
+                              "semantics": semantics})
+    try:
+        assert cli.main(["correspond", "--formula", "[]p -> p"]) == 0
+    finally:
+        restore()
+    assert "order type: p=1" in capsys.readouterr().out
+    calls = tracer.calls()
+    for stage in ("preprocess", "first_approximation", "reduce_outer",
+                  "reduce_inner", "pack", "ackermann"):
+        assert calls[f"alba.{stage}"] == 1, stage

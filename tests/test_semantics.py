@@ -16,8 +16,8 @@ from sabcorr.syntax import (
 from sabcorr.semantics import (
     EvalError, Ineq, KripkeFrame, MegaAnd, MegaGuard, QuasiUQ, UQIneq,
     Valuation, edges_of, enumerate_frames, eval_statement, frame_valid,
-    print_statement, satisfies, statement_nominals,
-    statement_props, valuations,
+    STATEMENTS, Statement, map_formulas, print_statement, satisfies,
+    statement_nominals, statement_props, valuations,
 )
 
 p, q = Prop("p"), Prop("q")
@@ -129,7 +129,8 @@ def test_satisfies_matches_oracle_exhaustively():
     for frame in _frames(2):
         worlds = set(frame.worlds)
         for val in _valuations(frame):
-            props = {k: set(v) for k, v in val.props}
+            props = {k: {w for w in worlds if m >> w & 1}
+                     for k, m in val.props.items()}
             noms = dict(val.noms)
             for f in _POOL:
                 ext = oracle_ext(f, worlds, frame.r0, set(frame.r0),
@@ -223,6 +224,27 @@ def test_statement_inventories():
     assert statement_nominals(uq) == {"i7"}
 
 
+def test_every_statement_class_has_a_row():
+    assert set(STATEMENTS) == set(Statement.__subclasses__())
+
+
+def test_table_walks_reach_every_form():
+    mg = MegaGuard("i1", "i2", frozenset({("i3", "i4")}),
+                   Ineq(p, Nom("i1"), EMPTY_EDGES, frozenset({("i5", "i6")})))
+    quasi = QuasiUQ((mg, Ineq(q, p)),
+                    MegaAnd((UQIneq(("i5",), Ineq(Nom("i5"), p)),
+                             Ineq(Nom("i7"), p))))
+    assert statement_props(quasi) == {"p", "q"}
+    assert statement_nominals(quasi) == {"i3", "i4", "i5", "i6", "i7"}
+    swapped = map_formulas(quasi, lambda f: q if f == p else f)
+    assert swapped == QuasiUQ(
+        (MegaGuard("i1", "i2", frozenset({("i3", "i4")}),
+                   Ineq(q, Nom("i1"), EMPTY_EDGES, frozenset({("i5", "i6")}))),
+         Ineq(q, q)),
+        MegaAnd((UQIneq(("i5",), Ineq(Nom("i5"), q)), Ineq(Nom("i7"), q))))
+    assert map_formulas(quasi, lambda f: f) == quasi
+
+
 # ---------------------------------------------------------------------------
 # frame validity
 
@@ -247,14 +269,15 @@ def test_frame_valid_closes_nominals_universally():
 def test_valuations_count_and_mask_order():
     frame = KripkeFrame(2, frozenset())
     subsets = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
-    got = [(v.prop("p"), v.prop("q")) for v in valuations(frame, ["p", "q"])]
+    got = [tuple(frozenset(w for w in frame.worlds if v.props[k] >> w & 1)
+                 for k in "pq") for v in valuations(frame, ["p", "q"])]
     assert got == list(itertools.product(subsets, repeat=2))
     for n in (1, 2, 3):
         frame = KripkeFrame(n, frozenset())
         for k in (0, 1, 2):
             vals = list(valuations(frame, ["p", "q"][:k]))
             assert len(vals) == 2 ** (n * k)
-            assert all(v.noms == () for v in vals)
+            assert all(v.noms == {} for v in vals)
 
 
 def test_enumerate_frames():
