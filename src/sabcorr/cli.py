@@ -10,7 +10,8 @@ from .syntax import (
     ParseError, eliminate_iff, parse_inequality, print_formula, props_of,
 )
 from .semantics import (
-    FRAME_CAP, Ineq, enumerate_frames, frame_valid, print_statement,
+    FRAME_CAP, Ineq, closure as close_statement, enumerate_frames,
+    frame_valid, print_statement,
 )
 from .sahlqvist import (
     build_signed_tree, critical_branches, find_order_type,
@@ -121,13 +122,16 @@ def cmd_correspond(args) -> int:
 
 
 def _check(ineq: Ineq, fo, max_worlds: int):
-    """Yield (frame, input valid, correspondent holds) for every frame with
-    at most max_worlds worlds, in enumeration order."""
+    """Yield (frame, orbit, input valid, correspondent holds) for one frame
+    per isomorphism class with at most max_worlds worlds, in enumeration
+    order; orbit counts the labelled frames of the class.  Both verdicts
+    are the same on every frame of a class."""
+    statement = close_statement(ineq)
     vars = sorted(props_of(ineq.lhs) | props_of(ineq.rhs))
     sentence, preds = closure(fo), sorted(pred_names(fo))
     for n in range(1, max_worlds + 1):
-        for frame in enumerate_frames(n):
-            yield (frame, frame_valid(frame, ineq, vars),
+        for frame, orbit in enumerate_frames(n):
+            yield (frame, orbit, frame_valid(frame, statement, vars),
                    holds_on_frame(frame, sentence, preds))
 
 
@@ -138,14 +142,17 @@ def cmd_verify(args) -> int:
     if isinstance(result, AlbaFailure):
         print(f"failure ({result.stage}): {result.reason}")
         return 1
+    # classes come in ascending order of their least edge mask, and a FAIL
+    # holds on a whole class, so the first FAIL is at the least labelled
+    # failing frame
     checked = 0
-    for frame, lhs, rhs in _check(ineq, correspondent(result.quasis),
-                                  args.max_worlds):
+    for frame, orbit, lhs, rhs in _check(ineq, correspondent(result.quasis),
+                                         args.max_worlds):
         if lhs != rhs:
             print(f"FAIL at n={frame.n}; edges={sorted(frame.r0)}: "
                   f"input valid={lhs}, correspondent={rhs}")
             return 1
-        checked += 1
+        checked += orbit
     print(f"PASS over {checked} frames (n <= {args.max_worlds})")
     return 0
 
@@ -190,7 +197,7 @@ def cmd_corpus(args) -> int:
                 print(f"{label:30} alba-failure: {result.reason}")
             all_ok = False
             continue
-        ok = all(lhs == rhs for _, lhs, rhs in
+        ok = all(lhs == rhs for _, _, lhs, rhs in
                  _check(ineq, correspondent(result.quasis), args.max_worlds))
         status = "verified" if ok else "MISMATCH"
         all_ok = all_ok and ok

@@ -267,32 +267,65 @@ def valuations(frame: KripkeFrame, props):
         yield Valuation(dict(zip(props, masks)))
 
 
-def frame_valid(frame: KripkeFrame, s, vars=None) -> bool:
-    """True iff s holds under every valuation of vars and every assignment
-    of worlds to the free nominals of s, which are closed by a UQIneq.
-
-    A bare formula phi is checked as top <= phi.
-    """
+def closure(s) -> Statement:
+    """s as a closed statement: a bare formula phi becomes top <= phi, and
+    free nominals are bound by one UQIneq, the first sorted name outermost."""
     if isinstance(s, Formula):
         s = Ineq(Top(), s)
     free_noms = tuple(sorted(statement_nominals(s)))
-    if free_noms:
-        s = UQIneq(free_noms, s)
-    vars = sorted(statement_props(s) if vars is None else vars)
+    return UQIneq(free_noms, s) if free_noms else s
+
+
+def frame_valid(frame: KripkeFrame, s: Statement, vars=None) -> bool:
+    """True iff the closed statement s holds under every valuation of vars,
+    by default its propositions; free nominals are the caller's to close."""
+    vars = sorted(statement_props(s)) if vars is None else vars
     return all(eval_statement(frame, val, s)
                for val in valuations(frame, vars))
 
 
+def _relabellings(n: int):
+    """Per permutation pi of the worlds, one (source shift, target shift,
+    column table) per row: row i of an edge mask moves to row pi(i), and
+    the table maps its column bits to their images under pi."""
+    out = []
+    for pi in itertools.permutations(range(n)):
+        cols = [sum(1 << pi[j] for j in range(n) if row >> j & 1)
+                for row in range(1 << n)]
+        out.append([(i * n, pi[i] * n, cols) for i in range(n)])
+    return out
+
+
 def enumerate_frames(n: int):
-    """All 2^(n*n) frames on {0..n-1}, edge set read as an ascending
-    n*n-bit integer."""
+    """One frame per isomorphism class on {0..n-1}, as (frame, orbit).
+
+    An edge set is read as an n*n-bit mask, cell (i,j) at bit i*n+j.  The
+    frame is the class member with the least mask, classes come in
+    ascending mask order, and orbit is the number of labelled frames in the
+    class, so the orbits sum to 2^(n*n).
+    """
     if not 1 <= n <= FRAME_CAP:
         msg = f"world count {n} outside 1..{FRAME_CAP}"
         raise ValueError(msg)
     cells = [(i, j) for i in range(n) for j in range(n)]
+    row_mask = (1 << n) - 1
+    relabellings = _relabellings(n)
+    # a class is marked seen when its first member is met, and masks are
+    # met in ascending order, so that first member is its least
+    seen = bytearray(1 << (n * n))
     for mask in range(1 << (n * n)):
+        if seen[mask]:
+            continue
+        orbit = set()
+        for rows in relabellings:
+            image = 0
+            for src, dst, cols in rows:
+                image |= cols[mask >> src & row_mask] << dst
+            orbit.add(image)
+        for image in orbit:
+            seen[image] = 1
         edges = frozenset(cells[k] for k in range(n * n) if mask >> k & 1)
-        yield KripkeFrame(n, edges)
+        yield KripkeFrame(n, edges), len(orbit)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ that compare a correspondent with a textbook condition."""
 
 import itertools
 
-from sabcorr.semantics import enumerate_frames, valuations
+from sabcorr.semantics import valuations
 from sabcorr.fol import eval_fo, free_names, pred_names
+
+from frames import labelled_frames
 
 
 def fo_equiv_on_small_frames(f1, f2, max_n=3, vars=()):
@@ -14,7 +16,7 @@ def fo_equiv_on_small_frames(f1, f2, max_n=3, vars=()):
     vars = sorted(set(vars) | pred_names(f1) | pred_names(f2))
     names = sorted(free_names(f1) | free_names(f2))
     for n in range(1, max_n + 1):
-        for frame in enumerate_frames(n):
+        for frame in labelled_frames(n):
             for val in valuations(frame, vars):
                 for worlds in itertools.product(frame.worlds,
                                                 repeat=len(names)):

@@ -16,7 +16,7 @@ from sabcorr.syntax import (
 )
 from sabcorr.semantics import (
     Ineq, KripkeFrame, MegaAnd, MegaGuard, QuasiUQ, UQIneq, Valuation,
-    enumerate_frames, eval_statement, frame_valid, statement_props,
+    closure as close_statement, eval_statement, frame_valid, statement_props,
 )
 from sabcorr.sahlqvist import (
     build_signed_tree, find_order_type, has_critical_occurrence, is_definite,
@@ -33,6 +33,7 @@ from sabcorr.fol import (
 from sabcorr.cli import load_corpus
 
 from fo_equiv import fo_equiv_on_small_frames
+from frames import labelled_frames
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sahlqvist.txt"
 
@@ -179,7 +180,7 @@ def test_criterion_2_statement_translation(capsys):
 
 def _frames2():
     for n in (1, 2):
-        yield from enumerate_frames(n)
+        yield from labelled_frames(n)
 
 
 def _all_vals(frame, prop_names, nom_names):
@@ -265,13 +266,13 @@ def test_criterion_3_per_rule_soundness(capsys):
             assert frame_valid(frame, Ineq(p, Not(p))) == \
                 frame_valid(frame, Ineq(Top(), Bot()))
 
-        # first approximation (i0/i1 closed universally by frame_valid)
+        # first approximation (i0/i1 closed universally by closure)
         for lhs, rhs in [(Box(p), p), (Dia(p), p), (Top(), SDia(Top()))]:
             quasi = QuasiUQ((Ineq(Nom("i0"), lhs), Ineq(rhs, Not(Nom("i1")))),
                             Ineq(Nom("i0"), Not(Nom("i1"))))
             for frame in _frames2():
                 assert frame_valid(frame, Ineq(lhs, rhs)) == \
-                    frame_valid(frame, quasi)
+                    frame_valid(frame, close_statement(quasi))
 
         i0, ni1 = Nom("i0"), Not(Nom("i1"))
         noms = ("i0", "i1", "i8", "i9")
@@ -406,7 +407,7 @@ def test_criterion_4_end_to_end_soundness(capsys):
                     "<!>top -> <>top", "<!>p -> <>p"]
         shipped = {Ineq(*parse_inequality(t)) for t in required}
         assert shipped <= {iq for _, iq in entries}
-        frames = [f for n in (1, 2, 3) for f in enumerate_frames(n)]
+        frames = [f for n in (1, 2, 3) for f in labelled_frames(n)]
         assert len(frames) == 530
         for label, iq in entries:
             result = run_alba(iq)

@@ -11,7 +11,7 @@ from sabcorr.syntax import (
     parse_inequality, print_formula,
 )
 from sabcorr.semantics import (
-    Ineq, QuasiUQ, UQIneq, enumerate_frames, frame_valid, print_statement,
+    Ineq, QuasiUQ, UQIneq, frame_valid, print_statement,
     statement_props,
 )
 from sabcorr.alba import (
@@ -19,6 +19,8 @@ from sabcorr.alba import (
     WorkItem, ackermann_eliminate, distribute, first_approximation, pack,
     preprocess, reduce_inner, reduce_outer, run_alba, _mk,
 )
+
+from frames import labelled_frames
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
@@ -69,7 +71,7 @@ def test_distribution_preserves_meaning():
         g = distribute(f, sign)
         assert g != f
         for n in (1, 2):
-            for frame in enumerate_frames(n):
+            for frame in labelled_frames(n):
                 assert frame_valid(frame, Ineq(f, g))
                 assert frame_valid(frame, Ineq(g, f))
 
@@ -101,7 +103,7 @@ def test_preprocess_equivalent_on_small_frames():
         src = ineq(text)
         out = preprocess(src)
         for n in (1, 2):
-            for frame in enumerate_frames(n):
+            for frame in labelled_frames(n):
                 vars = sorted(statement_props(src))
                 lhs = frame_valid(frame, src, vars)
                 rhs = all(frame_valid(frame, o, vars) for o in out)

@@ -3,13 +3,19 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sabcorr import cli
 from sabcorr.cli import load_corpus, main
-from sabcorr.syntax import _SYMBOLS, Box, Dia, Prop
-from sabcorr.semantics import Ineq
+from sabcorr.syntax import _SYMBOLS, Box, Dia, Prop, parse_inequality
+from sabcorr.semantics import Ineq, closure, enumerate_frames, frame_valid
+
+from frames import labelled_frames
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sahlqvist.txt"
 
 
 def test_parse_command(capsys):
@@ -98,6 +104,38 @@ def test_correspond_trace_file(tmp_path, capsys):
 def test_verify_pass_and_counts(capsys):
     assert main(["verify", "--formula", "[]p -> p", "--max-worlds", "3"]) == 0
     assert "PASS over 530 frames" in capsys.readouterr().out
+
+
+def test_verify_fail_names_the_first_failing_labelled_frame(monkeypatch,
+                                                           capsys):
+    # a stand-in correspondent that is invariant under isomorphism: at
+    # least two edges, or a loop at every world
+    def stand_in(frame, sentence, vars=None):
+        return (len(frame.r0) >= 2
+                or all((w, w) in frame.r0 for w in frame.worlds))
+    monkeypatch.setattr(cli, "holds_on_frame", stand_in)
+    statement = closure(Ineq(*parse_inequality("[]p -> p")))
+    expected = next(
+        f"FAIL at n={frame.n}; edges={sorted(frame.r0)}: "
+        f"input valid={valid}, correspondent={holds}\n"
+        for n in (1, 2, 3) for frame in labelled_frames(n)
+        for valid, holds in [(frame_valid(frame, statement),
+                              stand_in(frame, None))]
+        if valid != holds)
+    assert expected.startswith("FAIL at n=2; edges=[(0, 0), (0, 1)]:")
+    assert main(["verify", "--formula", "[]p -> p", "--max-worlds", "3"]) == 1
+    assert capsys.readouterr().out == expected
+
+
+def test_orbit_weighted_counts_match_labelled_counts():
+    for label, ineq in load_corpus(CORPUS):
+        statement = closure(ineq)
+        for n in (1, 2):
+            weighted = sum(orbit for frame, orbit in enumerate_frames(n)
+                           if frame_valid(frame, statement))
+            labelled = sum(frame_valid(frame, statement)
+                           for frame in labelled_frames(n))
+            assert weighted == labelled, (label, n)
 
 
 def test_verify_failure_input(capsys):

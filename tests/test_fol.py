@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +12,10 @@ from sabcorr.syntax import (
 )
 from sabcorr.semantics import (
     Ineq, KripkeFrame, MegaAnd, MegaGuard, QuasiUQ, UQIneq, Valuation,
-    enumerate_frames, frame_valid, statement_props,
+    closure as close_statement, frame_valid, statement_props,
 )
 from sabcorr.alba import AlbaSuccess, run_alba
+from sabcorr.cli import load_corpus
 from sabcorr.fol import (
     Eq, FOAnd, FOEvalError, FOExists, FOForall, FOImp, FONot, FOOr, Pred,
     Rel, closure, correspondent, emit_fo, eval_fo, fo_and, fo_or, free_names,
@@ -22,6 +24,10 @@ from sabcorr.fol import (
 )
 
 from fo_equiv import fo_equiv_on_small_frames
+from frames import labelled_frames
+from test_golden import _bench_module
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sahlqvist.txt"
 
 p = Prop("p")
 
@@ -112,6 +118,39 @@ def test_eval_fo_reads_nominals_from_valuation():
         eval_fo(loop, Valuation.make({}, {}), {}, Rel("i9", "i9"))
 
 
+def test_eval_fo_matches_the_independent_oracle():
+    # bench/oracle.py evaluates the JSON form with its own closure; it
+    # shares no code with sabcorr
+    oracle = _bench_module("oracle")
+    sentences = [correspondent(run_alba(iq).quasis)
+                 for _, iq in load_corpus(CORPUS)]
+    sentences += [
+        # y re-bound inside its own scope, then read again outside it
+        FOForall("x", FOExists("y", FOAnd((
+            Rel("x", "y"),
+            FOForall("y", FOImp(Rel("y", "x"), Pred("p", "y"))),
+            Pred("q", "y"))))),
+        # some world has a loop and some has none; every world has a loop
+        # if one has
+        FOExists("x", FOAnd((FOExists("x", Rel("x", "x")),
+                             FONot(Rel("x", "x"))))),
+        FOForall("x", FOImp(FOExists("x", Rel("x", "x")), Rel("x", "x"))),
+        FOImp(FOAnd(()), FOOr(())),
+        FOOr((FOAnd(()), Rel("i1", "i2"))),
+        FOImp(Rel("i1", "i2"), FONot(FOOr((Pred("p", "i2"), FOOr(()))))),
+    ]
+    verdicts = set()
+    for fo in sentences:
+        data = json.loads(emit_fo(fo, "json"))
+        sentence, preds = closure(fo), sorted(pred_names(fo))
+        for n, edges in oracle.frames(2):
+            frame = KripkeFrame(n, edges)
+            got = holds_on_frame(frame, sentence, preds)
+            assert got == oracle.fo_valid(n, edges, data), (fo, frame)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_free_and_pred_names():
     f = FOForall("x", FOImp(Rel("x", "i1"), Pred("p", "y3")))
     assert free_names(f) == {"i1", "y3"}
@@ -137,8 +176,8 @@ def test_closure_binds_free_names_first_sorted_outermost():
 
 
 def test_modal_and_fo_closures_agree():
-    # frame_valid closes free nominals with a UQIneq, holds_on_frame closes
-    # free names with FOForall and quantifies over predicate valuations;
+    # closure binds free nominals with a UQIneq, fol.closure binds free
+    # names with FOForall; both checks quantify over valuations;
     # every statement here has a proposition and a free nominal
     statements = [
         Ineq(And(Nom("i1"), p), Dia(p)),
@@ -152,8 +191,8 @@ def test_modal_and_fo_closures_agree():
         vars = sorted(statement_props(s))
         fo = st_statement(s)
         verdicts = set()
-        for frame in (f for n in (1, 2) for f in enumerate_frames(n)):
-            valid = frame_valid(frame, s, vars)
+        for frame in (f for n in (1, 2) for f in labelled_frames(n)):
+            valid = frame_valid(frame, close_statement(s), vars)
             assert holds_on_frame(frame, closure(fo), vars) == valid, \
                 (s, frame)
             verdicts.add(valid)

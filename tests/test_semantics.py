@@ -6,6 +6,7 @@ the deletion modalities.  It shares no code with sabcorr.semantics.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -15,10 +16,12 @@ from sabcorr.syntax import (
 )
 from sabcorr.semantics import (
     EvalError, Ineq, KripkeFrame, MegaAnd, MegaGuard, QuasiUQ, UQIneq,
-    Valuation, edges_of, enumerate_frames, eval_statement, frame_valid,
-    STATEMENTS, Statement, map_formulas, print_statement, satisfies,
-    statement_nominals, statement_props, valuations,
+    Valuation, closure, edges_of, enumerate_frames, eval_statement,
+    frame_valid, STATEMENTS, Statement, map_formulas, print_statement,
+    satisfies, statement_nominals, statement_props, valuations,
 )
+
+from frames import labelled_frames
 
 p, q = Prop("p"), Prop("q")
 
@@ -112,7 +115,7 @@ _POOL = [
 
 def _frames(max_n):
     for n in range(1, max_n + 1):
-        yield from enumerate_frames(n)
+        yield from labelled_frames(n)
 
 
 def _valuations(frame, prop_names=("p", "q"), nom_names=("i1", "i2")):
@@ -251,19 +254,21 @@ def test_table_walks_reach_every_form():
 def test_frame_valid_examples():
     loop = KripkeFrame(1, frozenset({(0, 0)}))
     empty = KripkeFrame(1, frozenset())
-    assert frame_valid(loop, Imp(Box(p), p))
-    assert not frame_valid(empty, Imp(Box(p), p))
-    assert frame_valid(empty, Imp(SDia(Top()), Dia(Top())))
+    assert frame_valid(loop, closure(Imp(Box(p), p)))
+    assert not frame_valid(empty, closure(Imp(Box(p), p)))
+    assert frame_valid(empty, closure(Imp(SDia(Top()), Dia(Top()))))
     one_way = KripkeFrame(2, frozenset({(0, 1)}))
-    assert not frame_valid(one_way, Imp(Box(p), SBox(p)))
+    assert not frame_valid(one_way, closure(Imp(Box(p), SBox(p))))
 
 
 def test_frame_valid_closes_nominals_universally():
     loop = KripkeFrame(1, frozenset({(0, 0)}))
     two = KripkeFrame(2, frozenset({(0, 0)}))
     s = Ineq(Nom("i1"), Dia(Top()))
-    assert frame_valid(loop, s)
-    assert not frame_valid(two, s)  # i1 = 1 has no successor
+    assert closure(s) == UQIneq(("i1",), s)
+    assert closure(Dia(p)) == Ineq(Top(), Dia(p))
+    assert frame_valid(loop, closure(s))
+    assert not frame_valid(two, closure(s))  # i1 = 1 has no successor
 
 
 def test_valuations_count_and_mask_order():
@@ -280,12 +285,35 @@ def test_valuations_count_and_mask_order():
             assert all(v.noms == {} for v in vals)
 
 
+def _edge_mask(n, edges):
+    return sum(1 << (i * n + j) for i, j in edges)
+
+
 def test_enumerate_frames():
+    # one frame per isomorphism class, against every labelled frame
     ones = list(enumerate_frames(1))
-    assert len(ones) == 2
-    assert ones[0].r0 == frozenset() and ones[1].r0 == {(0, 0)}
-    assert len(list(enumerate_frames(2))) == 16
-    assert len(list(enumerate_frames(3))) == 512
+    assert [(f.r0, orbit) for f, orbit in ones] == \
+        [(frozenset(), 1), (frozenset({(0, 0)}), 1)]
+    for n, count in zip((1, 2, 3, 4), (2, 10, 104, 3044)):
+        classes = list(enumerate_frames(n))
+        assert len(classes) == count
+        assert sum(orbit for _, orbit in classes) == 2 ** (n * n)
+        masks = [_edge_mask(n, f.r0) for f, _ in classes]
+        assert masks == sorted(masks) and all(f.n == n for f, _ in classes)
+    for n in (1, 2, 3):
+        orbits = {f.r0: orbit for f, orbit in enumerate_frames(n)}
+        perms = list(itertools.permutations(range(n)))
+        members = Counter()
+        for frame in labelled_frames(n):
+            cls = {frozenset((pi[a], pi[b]) for a, b in frame.r0)
+                   for pi in perms}
+            reps = cls & orbits.keys()
+            assert len(reps) == 1, frame
+            rep, = reps
+            assert _edge_mask(n, rep) == min(_edge_mask(n, e) for e in cls)
+            assert orbits[rep] == len(cls)
+            members[rep] += 1
+        assert members == orbits
     with pytest.raises(ValueError):
         list(enumerate_frames(5))
     with pytest.raises(ValueError):
