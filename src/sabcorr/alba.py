@@ -34,12 +34,6 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
-class PreconditionError(RuntimeError):
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"{stage}: {message}")
-        self.stage = stage
-
-
 @dataclass(frozen=True)
 class DerivationStep:
     stage: str
@@ -94,9 +88,6 @@ class System:
     gen: FreshNominals
     eps: dict
     trace: list
-
-    def record(self, stage, rule, consumed, produced):
-        record(self.trace, stage, rule, consumed, produced)
 
 
 def record(trace, stage, rule, consumed, produced):
@@ -219,7 +210,7 @@ def first_approximation(pre: Ineq, gen: FreshNominals, eps: dict,
     a = _mk((), Ineq(Nom(i0), pre.lhs), "rhs")
     b = _mk((), Ineq(pre.rhs, Not(Nom(i1))), "lhs")
     sys = System([a, b], Ineq(Nom(i0), Not(Nom(i1))), gen, eps, trace)
-    sys.record("first-approximation", "first-approx", [pre], [a, b])
+    record(sys.trace, "first-approximation", "first-approx", [pre], [a, b])
     return sys
 
 
@@ -286,7 +277,7 @@ def _rewrite(sys: System, step, stage: str) -> System:
             if out:
                 rule, new_items = out
                 sys.items[idx:idx + 1] = new_items
-                sys.record(stage, rule, [item], new_items)
+                record(sys.trace, stage, rule, [item], new_items)
                 break
         else:
             return sys
@@ -437,7 +428,7 @@ def pack(sys: System) -> System:
             raise StageError("substage 3",
                              f"head fails purity side condition in "
                              f"{print_statement(item.statement())}")
-        sys.record("substage-3", rule, [item], [out])
+        record(sys.trace, "substage-3", rule, [item], [out])
         packed.append(out)
     sys.items = packed
     return sys
@@ -467,7 +458,7 @@ def ackermann_eliminate(sys: System, p: str, handedness: str) -> System:
     bounds = [(st.lhs if handedness == "right" else st.rhs) for st in alphas]
     for b in bounds:
         if not (is_pure(b) and is_context_free(b)):
-            raise PreconditionError(
+            raise StageError(
                 "substage 4", f"bound {print_statement(Ineq(b, Prop(p)))} "
                 f"is not pure and context-free")
     if bounds:
@@ -487,7 +478,7 @@ def ackermann_eliminate(sys: System, p: str, handedness: str) -> System:
         else:
             ok = pol_l in ("negative", "absent") and pol_r in ("positive", "absent")
         if not ok:
-            raise PreconditionError(
+            raise StageError(
                 "substage 4",
                 f"{p} occurs with the wrong polarity in {_show(st)}")
         new = map_formulas(st, lambda f: substitute_prop(f, p, repl))
@@ -495,8 +486,8 @@ def ackermann_eliminate(sys: System, p: str, handedness: str) -> System:
             changed_from.append(st)
             changed_to.append(new)
         new_items.append(new)
-    sys.record("substage-4", f"ackermann-{handedness}",
-               alphas + changed_from, changed_to)
+    record(sys.trace, "substage-4", f"ackermann-{handedness}",
+           alphas + changed_from, changed_to)
     sys.items = new_items
     return sys
 
@@ -560,6 +551,6 @@ def run_alba(ineq: Ineq, order_type=None):
                 if statement_props(st):
                     raise StageError("output", f"impure item {_show(st)}")
             quasis.append(QuasiUQ(tuple(sys.items), goal))
-    except (StageError, PreconditionError) as exc:
+    except StageError as exc:
         return AlbaFailure(str(exc), exc.stage, tuple(trace))
     return AlbaSuccess(eps, tuple(pre), tuple(quasis), tuple(trace))

@@ -13,11 +13,10 @@ import json
 from dataclasses import dataclass
 
 from .syntax import (
-    And, Bot, Box, Dia, ExistsNom, ForallNom, Formula, GBox, GDia, Iff, Imp,
-    InvLBox, InvLDia, LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top,
+    And, Bot, Formula, Iff, Imp, Nom, Not, Or, Prop, Top, CONNECTIVES,
 )
 from .semantics import (
-    Ineq, KripkeFrame, MegaAnd, MegaGuard, QuasiUQ, Statement, UQIneq,
+    Ineq, KripkeFrame, MegaGuard, QuasiUQ, Statement, UQIneq,
     Valuation, valuations,
 )
 
@@ -84,13 +83,6 @@ def fo_and(parts) -> FOFormula:
     return FOAnd(parts)
 
 
-def fo_or(parts) -> FOFormula:
-    parts = tuple(parts)
-    if len(parts) == 1:
-        return parts[0]
-    return FOOr(parts)
-
-
 class _VarGen:
     def __init__(self):
         self.count = 0
@@ -101,13 +93,52 @@ class _VarGen:
         return name
 
 
-def _exclusions(e, a: str, b: str):
-    """One conjunct per pair in e: the edge (a,b) is not that deleted pair."""
-    return [FONot(FOAnd((Eq(a, v), Eq(b, w)))) for (v, w) in e]
-
-
 def _label_pairs(s) -> tuple:
     return tuple(sorted(s))
+
+
+def _guard(x: str, y: str, pairs) -> list:
+    """The atoms saying that (x,y) is an edge of r0 and none of the pairs."""
+    return [Rel(x, y), *(FONot(FOAnd((Eq(x, v), Eq(y, w))))
+                         for (v, w) in pairs)]
+
+
+# One rule per range of a quantifying connective (`syntax.Connective.range`):
+# for the node f translated at x under the deleted pairs e, the names it
+# binds, drawn in order, the guard atoms on them, and the point and the
+# deleted pairs at which its child is translated.
+
+def _succ(gen, x, e, f):
+    y = gen.fresh()
+    return (y,), _guard(x, y, e), y, e
+
+
+def _edge(gen, x, e, f):
+    y, z = gen.fresh(), gen.fresh()
+    return (y, z), _guard(y, z, e), x, e + ((y, z),)
+
+
+def _label(gen, x, e, f):
+    y = gen.fresh()
+    return (y,), _guard(x, y, _label_pairs(f.s)), y, e
+
+
+def _inv(gen, x, e, f):
+    y = gen.fresh()
+    return (y,), _guard(y, x, _label_pairs(f.s)), y, e
+
+
+def _world(gen, x, e, f):
+    y = gen.fresh()
+    return (y,), [], y, e
+
+
+def _nom(gen, x, e, f):
+    return (f.nom,), [], x, e
+
+
+RANGES = {"succ": _succ, "edge": _edge, "label": _label, "inv": _inv,
+          "world": _world, "nom": _nom}
 
 
 def st_formula(f: Formula, x: str, e: tuple, gen: _VarGen) -> FOFormula:
@@ -134,56 +165,16 @@ def st_formula(f: Formula, x: str, e: tuple, gen: _VarGen) -> FOFormula:
         a = st_formula(f.left, x, e, gen)
         b = st_formula(f.right, x, e, gen)
         return FOAnd((FOImp(a, b), FOImp(b, a)))
-    if isinstance(f, Dia):
-        y = gen.fresh()
-        return FOExists(y, fo_and([Rel(x, y), *_exclusions(e, x, y),
-                                   st_formula(f.child, y, e, gen)]))
-    if isinstance(f, Box):
-        y = gen.fresh()
-        return FOForall(y, FOImp(fo_and([Rel(x, y), *_exclusions(e, x, y)]),
-                                 st_formula(f.child, y, e, gen)))
-    if isinstance(f, SDia):
-        y, z = gen.fresh(), gen.fresh()
-        return FOExists(y, FOExists(z, fo_and(
-            [Rel(y, z), *_exclusions(e, y, z),
-             st_formula(f.child, x, e + ((y, z),), gen)])))
-    if isinstance(f, SBox):
-        y, z = gen.fresh(), gen.fresh()
-        return FOForall(y, FOForall(z, FOImp(
-            fo_and([Rel(y, z), *_exclusions(e, y, z)]),
-            st_formula(f.child, x, e + ((y, z),), gen))))
-    if isinstance(f, LDia):
-        y = gen.fresh()
-        return FOExists(y, fo_and(
-            [Rel(x, y), *_exclusions(_label_pairs(f.s), x, y),
-             st_formula(f.child, y, e, gen)]))
-    if isinstance(f, LBox):
-        y = gen.fresh()
-        return FOForall(y, FOImp(
-            fo_and([Rel(x, y), *_exclusions(_label_pairs(f.s), x, y)]),
-            st_formula(f.child, y, e, gen)))
-    if isinstance(f, InvLDia):
-        y = gen.fresh()
-        return FOExists(y, fo_and(
-            [Rel(y, x), *_exclusions(_label_pairs(f.s), y, x),
-             st_formula(f.child, y, e, gen)]))
-    if isinstance(f, InvLBox):
-        y = gen.fresh()
-        return FOForall(y, FOImp(
-            fo_and([Rel(y, x), *_exclusions(_label_pairs(f.s), y, x)]),
-            st_formula(f.child, y, e, gen)))
-    if isinstance(f, GDia):
-        y = gen.fresh()
-        return FOExists(y, st_formula(f.child, y, e, gen))
-    if isinstance(f, GBox):
-        y = gen.fresh()
-        return FOForall(y, st_formula(f.child, y, e, gen))
-    if isinstance(f, ForallNom):
-        return FOForall(f.nom, st_formula(f.child, x, e, gen))
-    if isinstance(f, ExistsNom):
-        return FOExists(f.nom, st_formula(f.child, x, e, gen))
-    msg = f"cannot translate {f!r}"
-    raise ValueError(msg)
+    row = CONNECTIVES[type(f)]
+    # exists b. (guard & body), or forall b. (guard -> body)
+    binders, guard, point, deleted = RANGES[row.range](gen, x, e, f)
+    out = st_formula(f.child, point, deleted, gen)
+    exists = row.quantifier == "exists"
+    if guard:
+        out = FOAnd((*guard, out)) if exists else FOImp(fo_and(guard), out)
+    for b in reversed(binders):
+        out = FOExists(b, out) if exists else FOForall(b, out)
+    return out
 
 
 def translate_formula(f: Formula, x: str = "x", e: tuple = ()) -> FOFormula:
@@ -195,11 +186,8 @@ def _st_statement(s: Statement, gen: _VarGen) -> FOFormula:
         return FOForall("x", FOImp(
             st_formula(s.lhs, "x", _label_pairs(s.sup), gen),
             st_formula(s.rhs, "x", _label_pairs(s.sub), gen)))
-    if isinstance(s, MegaAnd):
-        return fo_and([_st_statement(p, gen) for p in s.parts])
     if isinstance(s, MegaGuard):
-        guard = fo_and([Rel(s.m0, s.m1),
-                        *_exclusions(_label_pairs(s.s), s.m0, s.m1)])
+        guard = fo_and(_guard(s.m0, s.m1, _label_pairs(s.s)))
         return FOForall(s.m0, FOForall(
             s.m1, FOImp(guard, _st_statement(s.body, gen))))
     if isinstance(s, UQIneq):
@@ -347,16 +335,13 @@ def _compile(f: FOFormula):
             tuple(slots.preds.items()))
 
 
-def eval_fo(frame: KripkeFrame, val: Valuation, assignment: dict,
-            f: FOFormula) -> bool:
-    """Truth of f under the valuation's nominals overlaid with assignment."""
+def eval_fo(frame: KripkeFrame, val: Valuation, f: FOFormula) -> bool:
+    """Truth of f, its free names read from the valuation's nominals."""
     run, size, names, preds = _compile(f)
     env = [None] * size
     env[0], env[1] = frame.r0, frame.worlds
     for name, i in names:
-        if name in assignment:
-            env[i] = assignment[name]
-        elif name in val.noms:
+        if name in val.noms:
             env[i] = val.noms[name]
         else:
             msg = f"unbound name {name!r}"
@@ -418,7 +403,7 @@ def holds_on_frame(frame: KripkeFrame, sentence: FOFormula, vars=None) -> bool:
     """Truth of a sentence on the frame under every valuation of vars, by
     default its predicates; free names are the caller's to close."""
     vars = sorted(pred_names(sentence)) if vars is None else vars
-    return all(eval_fo(frame, val, {}, sentence)
+    return all(eval_fo(frame, val, sentence)
                for val in valuations(frame, vars))
 
 

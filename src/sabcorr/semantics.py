@@ -2,8 +2,8 @@
 
 The evaluation of [] <> [!] <!> reads the current relation (r0 minus the
 accumulated deleted edges); labeled modalities box^S / dia^S and their
-inverses read r0 minus the edges denoted by S, ignoring deletions; A/E
-quantify over all worlds under the current relation.
+inverses read r0 minus the edges denoted by S, ignoring deletions; A
+quantifies over all worlds under the current relation.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .syntax import (
-    And, Bot, Box, Dia, ExistsNom, ForallNom, Formula, GBox, GDia, Iff, Imp,
-    InvLBox, InvLDia, LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top,
-    EMPTY_EDGES, EdgeLabelSet, nominals_of, print_edge_set, print_formula,
-    props_of,
+    And, Bot, Formula, Iff, Imp, Nom, Not, Or, Prop, Top,
+    CONNECTIVES, EMPTY_EDGES, EdgeLabelSet, nominals_of, print_edge_set,
+    print_formula, props_of,
 )
 
 FRAME_CAP = 4
@@ -71,9 +70,29 @@ def edges_of(val: Valuation, s: EdgeLabelSet) -> frozenset:
     return frozenset((val.nom(a), val.nom(b)) for a, b in s)
 
 
+# One rule per range of a quantifying connective (`syntax.Connective.range`):
+# the (valuation, deleted edges, world) points where the node at world w
+# reads its child.
+RANGES = {
+    "succ": lambda frame, val, deleted, w, f: (
+        (val, deleted, v) for (u, v) in frame.r0 - deleted if u == w),
+    "edge": lambda frame, val, deleted, w, f: (
+        (val, deleted | {e}, w) for e in frame.r0 - deleted),
+    "label": lambda frame, val, deleted, w, f: (
+        (val, deleted, v) for (u, v) in frame.r0 - edges_of(val, f.s)
+        if u == w),
+    "inv": lambda frame, val, deleted, w, f: (
+        (val, deleted, u) for (u, v) in frame.r0 - edges_of(val, f.s)
+        if v == w),
+    "world": lambda frame, val, deleted, w, f: (
+        (val, deleted, v) for v in frame.worlds),
+    "nom": lambda frame, val, deleted, w, f: (
+        (val.with_nom(f.nom, v), deleted, w) for v in frame.worlds),
+}
+
+
 def satisfies(frame: KripkeFrame, val: Valuation, deleted: frozenset,
               w: int, f: Formula) -> bool:
-    current = frame.r0 - deleted
     if isinstance(f, Bot):
         return False
     if isinstance(f, Top):
@@ -96,48 +115,12 @@ def satisfies(frame: KripkeFrame, val: Valuation, deleted: frozenset,
     if isinstance(f, Iff):
         return (satisfies(frame, val, deleted, w, f.left)
                 == satisfies(frame, val, deleted, w, f.right))
-    if isinstance(f, Dia):
-        return any(satisfies(frame, val, deleted, v, f.child)
-                   for (u, v) in current if u == w)
-    if isinstance(f, Box):
-        return all(satisfies(frame, val, deleted, v, f.child)
-                   for (u, v) in current if u == w)
-    if isinstance(f, SDia):
-        return any(satisfies(frame, val, deleted | {e}, w, f.child)
-                   for e in current)
-    if isinstance(f, SBox):
-        return all(satisfies(frame, val, deleted | {e}, w, f.child)
-                   for e in current)
-    if isinstance(f, LDia):
-        rel = frame.r0 - edges_of(val, f.s)
-        return any(satisfies(frame, val, deleted, v, f.child)
-                   for (u, v) in rel if u == w)
-    if isinstance(f, LBox):
-        rel = frame.r0 - edges_of(val, f.s)
-        return all(satisfies(frame, val, deleted, v, f.child)
-                   for (u, v) in rel if u == w)
-    if isinstance(f, InvLDia):
-        rel = frame.r0 - edges_of(val, f.s)
-        return any(satisfies(frame, val, deleted, u, f.child)
-                   for (u, v) in rel if v == w)
-    if isinstance(f, InvLBox):
-        rel = frame.r0 - edges_of(val, f.s)
-        return all(satisfies(frame, val, deleted, u, f.child)
-                   for (u, v) in rel if v == w)
-    if isinstance(f, GDia):
-        return any(satisfies(frame, val, deleted, v, f.child)
-                   for v in frame.worlds)
-    if isinstance(f, GBox):
-        return all(satisfies(frame, val, deleted, v, f.child)
-                   for v in frame.worlds)
-    if isinstance(f, ExistsNom):
-        return any(satisfies(frame, val.with_nom(f.nom, v), deleted, w, f.child)
-                   for v in frame.worlds)
-    if isinstance(f, ForallNom):
-        return all(satisfies(frame, val.with_nom(f.nom, v), deleted, w, f.child)
-                   for v in frame.worlds)
-    msg = f"cannot evaluate {f!r}"
-    raise EvalError(msg)
+    row = CONNECTIVES[type(f)]
+    exists = row.quantifier == "exists"
+    for v, d, u in RANGES[row.range](frame, val, deleted, w, f):
+        if satisfies(frame, v, d, u, f.child) == exists:
+            return exists  # a witness, or a counterexample to forall
+    return not exists
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +136,6 @@ class Ineq(Statement):
     rhs: Formula
     sup: EdgeLabelSet = EMPTY_EDGES
     sub: EdgeLabelSet = EMPTY_EDGES
-
-
-@dataclass(frozen=True)
-class MegaAnd(Statement):
-    parts: tuple
 
 
 @dataclass(frozen=True)
@@ -189,8 +167,6 @@ def eval_statement(frame: KripkeFrame, val: Valuation, s: Statement) -> bool:
         return all(satisfies(frame, val, del_sub, w, s.rhs)
                    for w in frame.worlds
                    if satisfies(frame, val, del_sup, w, s.lhs))
-    if isinstance(s, MegaAnd):
-        return all(eval_statement(frame, val, p) for p in s.parts)
     if isinstance(s, MegaGuard):
         rel = frame.r0 - edges_of(val, s.s)
         return all(eval_statement(frame,
@@ -226,8 +202,6 @@ def _none(s):
 STATEMENTS = {
     Ineq: _Row(lambda s: (s.lhs, s.rhs), _none, lambda s: (*s.sup, *s.sub),
                _none, lambda s, fs, ps: Ineq(*fs, s.sup, s.sub)),
-    MegaAnd: _Row(_none, lambda s: s.parts, _none, _none,
-                  lambda s, fs, ps: MegaAnd(ps)),
     MegaGuard: _Row(_none, lambda s: (s.body,), lambda s: s.s,
                     lambda s: (s.m0, s.m1),
                     lambda s, fs, ps: MegaGuard(s.m0, s.m1, s.s, *ps)),
@@ -337,8 +311,6 @@ def print_statement(s: Statement) -> str:
         sub = print_edge_set(s.sub)
         return (f"{print_formula(s.lhs)} <=^{sup}_{sub} "
                 f"{print_formula(s.rhs)}")
-    if isinstance(s, MegaAnd):
-        return " AND ".join(f"({print_statement(p)})" for p in s.parts)
     if isinstance(s, MegaGuard):
         es = print_edge_set(s.s)
         guard = f"{s.m0} <=^{es}_{es} dia^{es} {s.m1}"

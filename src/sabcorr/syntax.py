@@ -7,9 +7,11 @@ nominal quantifiers) are produced internally by the rewrite engine and are
 printable but not parseable.
 
 `CONNECTIVES` is the one place that says what each node class is: its label
-in signed generation trees, the sign of each child, and how it is printed
-and parsed.  Adding a connective means adding its class and its row here,
-and its cases in `semantics.satisfies` and `fol.st_formula`.
+in signed generation trees, the sign of each child, how it is printed and
+parsed, and, for a modality or a nominal quantifier, its quantifier and the
+range it quantifies over.  Adding a connective means adding its class and
+its row here; a new range also needs its rule in `semantics.RANGES` and in
+`fol.RANGES`.
 """
 
 from __future__ import annotations
@@ -140,13 +142,6 @@ class GBox(Formula):
 
 
 @dataclass(frozen=True)
-class GDia(Formula):
-    """E : global existential modality."""
-
-    child: Formula
-
-
-@dataclass(frozen=True)
 class ForallNom(Formula):
     nom: str
     child: Formula
@@ -185,15 +180,19 @@ class Connective:
     head: for any other node, the text printed before its child, as a
     function of the node; a string stands for itself, and the default is
     the token.
+    quantifier, range: given together as `quantifies` by a modality or a
+    nominal quantifier, 'exists' or 'forall' and the name of the points
+    where it reads its child (succ, edge, label, inv, world, nom), whose
+    rules are `semantics.RANGES` and `fol.RANGES`; None for other nodes.
     children, rebuild: read the children of a node, and copy a node with
     new children.
     """
 
     __slots__ = ("cls", "label", "signs", "token", "prec", "right_assoc",
-                 "head", "children", "rebuild")
+                 "head", "quantifier", "range", "children", "rebuild")
 
     def __init__(self, cls, label, signs="", *, token=None, prec=PREFIX,
-                 right_assoc=False, head=None):
+                 right_assoc=False, head=None, quantifies=(None, None)):
         self.cls = cls
         self.label = label
         self.signs = {s: tuple(s if c == "=" else _FLIP[s] for c in signs)
@@ -203,6 +202,7 @@ class Connective:
         self.right_assoc = right_assoc
         head = token if head is None else head
         self.head = head if callable(head) else (lambda f: head)
+        self.quantifier, self.range = quantifies
         self.children = _CHILDREN[len(signs)]
         names = [fl.name for fl in fields(cls)]
         if len(names) > len(signs):  # an edge label set or a binder first
@@ -225,21 +225,31 @@ CONNECTIVES = {row.cls: row for row in (
     Connective(Or, "or", "==", token="|", prec=2),
     Connective(And, "and", "==", token="&", prec=3),
     Connective(Not, "not", "~", token="~"),
-    Connective(Dia, "dia", "=", token="<>"),
-    Connective(Box, "box", "=", token="[]"),
-    Connective(SDia, "sdia", "=", token="<!>"),
-    Connective(SBox, "sbox", "=", token="[!]"),
-    Connective(LDia, "ldia", "=", head=_labeled("dia")),
-    Connective(LBox, "lbox", "=", head=_labeled("box")),
-    Connective(InvLDia, "inv-ldia", "=", head=_labeled("inv-dia")),
-    Connective(InvLBox, "inv-lbox", "=", head=_labeled("inv-box")),
-    Connective(GBox, "gbox", "=", head="A "),
-    Connective(GDia, "gdia", "=", head="E "),
+    Connective(Dia, "dia", "=", token="<>", quantifies=("exists", "succ")),
+    Connective(Box, "box", "=", token="[]", quantifies=("forall", "succ")),
+    Connective(SDia, "sdia", "=", token="<!>", quantifies=("exists", "edge")),
+    Connective(SBox, "sbox", "=", token="[!]", quantifies=("forall", "edge")),
+    Connective(LDia, "ldia", "=", head=_labeled("dia"),
+               quantifies=("exists", "label")),
+    Connective(LBox, "lbox", "=", head=_labeled("box"),
+               quantifies=("forall", "label")),
+    Connective(InvLDia, "inv-ldia", "=", head=_labeled("inv-dia"),
+               quantifies=("exists", "inv")),
+    Connective(InvLBox, "inv-lbox", "=", head=_labeled("inv-box"),
+               quantifies=("forall", "inv")),
+    Connective(GBox, "gbox", "=", head="A ", quantifies=("forall", "world")),
     Connective(ForallNom, "forallnom", "=",
-               head=lambda f: f"forall {f.nom}. "),
+               head=lambda f: f"forall {f.nom}. ",
+               quantifies=("forall", "nom")),
     Connective(ExistsNom, "existsnom", "=",
-               head=lambda f: f"exists {f.nom}. "),
+               head=lambda f: f"exists {f.nom}. ",
+               quantifies=("exists", "nom")),
 )}
+
+
+# Ranges that read the current relation, and ranges with an edge label.
+_CONTEXTUAL = ("succ", "edge")
+_LABELLED = ("label", "inv")
 
 
 def children(f: Formula) -> tuple:
@@ -437,14 +447,14 @@ def nominals_of(f: Formula) -> frozenset:
     """Free nominal names of f, including those inside edge labels."""
     if isinstance(f, Nom):
         return frozenset({f.name})
-    if isinstance(f, (LBox, LDia, InvLBox, InvLDia)):
-        names = {n for pair in f.s for n in pair}
-        return frozenset(names) | nominals_of(f.child)
-    if isinstance(f, (ForallNom, ExistsNom)):
-        return nominals_of(f.child) - {f.nom}
+    row = CONNECTIVES[type(f)]
     out = frozenset()
-    for g in children(f):
+    for g in row.children(f):
         out |= nominals_of(g)
+    if row.range in _LABELLED:
+        out |= {n for pair in f.s for n in pair}
+    elif row.range == "nom":
+        out -= {f.nom}
     return out
 
 
@@ -454,13 +464,14 @@ def all_names_of(f: Formula) -> frozenset:
     stack = [f]
     while stack:
         g = stack.pop()
+        row = CONNECTIVES[type(g)]
         if isinstance(g, Nom):
             out.add(g.name)
-        elif isinstance(g, (LBox, LDia, InvLBox, InvLDia)):
+        elif row.range in _LABELLED:
             out.update(n for pair in g.s for n in pair)
-        elif isinstance(g, (ForallNom, ExistsNom)):
+        elif row.range == "nom":
             out.add(g.nom)
-        stack.extend(children(g))
+        stack.extend(row.children(g))
     return frozenset(out)
 
 
@@ -477,9 +488,10 @@ def is_context_free(f: Formula) -> bool:
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, (Box, Dia, SBox, SDia)):
+        row = CONNECTIVES[type(g)]
+        if row.range in _CONTEXTUAL:
             return False
-        stack.extend(children(g))
+        stack.extend(row.children(g))
     return True
 
 

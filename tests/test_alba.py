@@ -15,7 +15,7 @@ from sabcorr.semantics import (
     statement_props,
 )
 from sabcorr.alba import (
-    AlbaFailure, AlbaSuccess, Guard, PreconditionError, StageError, System,
+    AlbaFailure, AlbaSuccess, Guard, StageError, System,
     WorkItem, ackermann_eliminate, distribute, first_approximation, pack,
     preprocess, reduce_inner, reduce_outer, run_alba, _mk,
 )
@@ -344,8 +344,9 @@ def test_ackermann_polarity_precondition():
                                          EMPTY_EDGES, EMPTY_EDGES),
                 Ineq(Top(), Imp(Not(p), Not(Nom("i1"))))])
     # the third item has p positive on the right: wrong for right-handed
-    with pytest.raises(PreconditionError):
+    with pytest.raises(StageError) as exc:
         ackermann_eliminate(sys, "p", "right")
+    assert exc.value.stage == "substage 4"
 
 
 def test_ackermann_substitutes_into_uq_bodies():

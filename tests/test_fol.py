@@ -11,14 +11,14 @@ from sabcorr.syntax import (
     parse_inequality,
 )
 from sabcorr.semantics import (
-    Ineq, KripkeFrame, MegaAnd, MegaGuard, QuasiUQ, UQIneq, Valuation,
+    Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq, Valuation,
     closure as close_statement, frame_valid, statement_props,
 )
 from sabcorr.alba import AlbaSuccess, run_alba
 from sabcorr.cli import load_corpus
 from sabcorr.fol import (
     Eq, FOAnd, FOEvalError, FOExists, FOForall, FOImp, FONot, FOOr, Pred,
-    Rel, closure, correspondent, emit_fo, eval_fo, fo_and, fo_or, free_names,
+    Rel, closure, correspondent, emit_fo, eval_fo, fo_and, free_names,
     holds_on_frame, pred_names, st_formula, st_statement, translate_formula,
     _VarGen,
 )
@@ -90,8 +90,6 @@ def test_st_quasi():
     quasi = QuasiUQ((Ineq(Top(), Top()),), Ineq(Bot(), Top()))
     out = st_statement(quasi)
     assert isinstance(out, FOImp)
-    mega = MegaAnd((Ineq(Top(), Top()), Ineq(Bot(), Bot())))
-    assert isinstance(st_statement(mega), FOAnd)
 
 
 # ---------------------------------------------------------------------------
@@ -101,21 +99,21 @@ def test_eval_fo_basics():
     empty = KripkeFrame(1, frozenset())
     loop = KripkeFrame(1, frozenset({(0, 0)}))
     v = Valuation.make({}, {})
-    assert eval_fo(empty, v, {}, FOForall("x", Eq("x", "x")))
+    assert eval_fo(empty, v, FOForall("x", Eq("x", "x")))
     f = FOExists("y0", FOExists("y1", Rel("y0", "y1")))
-    assert not eval_fo(empty, v, {}, f)
-    assert eval_fo(loop, v, {}, f)
+    assert not eval_fo(empty, v, f)
+    assert eval_fo(loop, v, f)
     st = st_statement(Ineq(Top(), SDia(Top())))
-    assert eval_fo(loop, v, {}, st)
-    assert not eval_fo(empty, v, {}, st)
+    assert eval_fo(loop, v, st)
+    assert not eval_fo(empty, v, st)
 
 
 def test_eval_fo_reads_nominals_from_valuation():
     loop = KripkeFrame(1, frozenset({(0, 0)}))
     v = Valuation.make({}, {"i1": 0})
-    assert eval_fo(loop, v, {}, Rel("i1", "i1"))
+    assert eval_fo(loop, v, Rel("i1", "i1"))
     with pytest.raises(FOEvalError):
-        eval_fo(loop, Valuation.make({}, {}), {}, Rel("i9", "i9"))
+        eval_fo(loop, Valuation.make({}, {}), Rel("i9", "i9"))
 
 
 def test_eval_fo_matches_the_independent_oracle():
@@ -210,8 +208,8 @@ def test_fo_equiv_on_small_frames():
 def test_empty_connectives():
     f = KripkeFrame(1, frozenset())
     v = Valuation.make({}, {})
-    assert eval_fo(f, v, {}, fo_and([]))
-    assert not eval_fo(f, v, {}, fo_or([]))
+    assert eval_fo(f, v, fo_and([]))
+    assert not eval_fo(f, v, FOOr(()))
     assert fo_and([Eq("x", "x")]) == Eq("x", "x")
 
 

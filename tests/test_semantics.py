@@ -11,11 +11,11 @@ from collections import Counter
 import pytest
 
 from sabcorr.syntax import (
-    And, Bot, Box, Dia, ExistsNom, ForallNom, GBox, GDia, Imp, InvLBox,
+    And, Bot, Box, Dia, ExistsNom, ForallNom, GBox, Imp, InvLBox,
     InvLDia, LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top, EMPTY_EDGES,
 )
 from sabcorr.semantics import (
-    EvalError, Ineq, KripkeFrame, MegaAnd, MegaGuard, QuasiUQ, UQIneq,
+    EvalError, Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq,
     Valuation, closure, edges_of, enumerate_frames, eval_statement,
     frame_valid, STATEMENTS, Statement, map_formulas, print_statement,
     satisfies, statement_nominals, statement_props, valuations,
@@ -80,9 +80,6 @@ def oracle_ext(f, worlds, r0, rel, props, noms):
                     if any((v, w) in labeled for v in good)}
         return {w for w in worlds
                 if all(u in good for (u, v) in labeled if v == w)}
-    if isinstance(f, GDia):
-        good = oracle_ext(f.child, worlds, r0, rel, props, noms)
-        return set(worlds) if good else set()
     if isinstance(f, GBox):
         good = oracle_ext(f.child, worlds, r0, rel, props, noms)
         return set(worlds) if good == set(worlds) else set()
@@ -108,7 +105,7 @@ _POOL = [
     LDia(frozenset({("i1", "i2")}), Top()),
     LBox(frozenset({("i1", "i2")}), p),
     InvLDia(EMPTY_EDGES, Nom("i1")), InvLBox(EMPTY_EDGES, p),
-    GBox(Imp(Nom("i1"), Dia(p))), GDia(Nom("i2")),
+    GBox(Imp(Nom("i1"), Dia(p))),
     ExistsNom("i3", And(Nom("i3"), p)), ForallNom("i3", Or(Nom("i3"), Top())),
 ]
 
@@ -234,17 +231,16 @@ def test_every_statement_class_has_a_row():
 def test_table_walks_reach_every_form():
     mg = MegaGuard("i1", "i2", frozenset({("i3", "i4")}),
                    Ineq(p, Nom("i1"), EMPTY_EDGES, frozenset({("i5", "i6")})))
-    quasi = QuasiUQ((mg, Ineq(q, p)),
-                    MegaAnd((UQIneq(("i5",), Ineq(Nom("i5"), p)),
-                             Ineq(Nom("i7"), p))))
+    quasi = QuasiUQ((mg, Ineq(q, p), UQIneq(("i5",), Ineq(Nom("i5"), p))),
+                    Ineq(Nom("i7"), p))
     assert statement_props(quasi) == {"p", "q"}
     assert statement_nominals(quasi) == {"i3", "i4", "i5", "i6", "i7"}
     swapped = map_formulas(quasi, lambda f: q if f == p else f)
     assert swapped == QuasiUQ(
         (MegaGuard("i1", "i2", frozenset({("i3", "i4")}),
                    Ineq(q, Nom("i1"), EMPTY_EDGES, frozenset({("i5", "i6")}))),
-         Ineq(q, q)),
-        MegaAnd((UQIneq(("i5",), Ineq(Nom("i5"), q)), Ineq(Nom("i7"), q))))
+         Ineq(q, q), UQIneq(("i5",), Ineq(Nom("i5"), q))),
+        Ineq(Nom("i7"), q))
     assert map_formulas(quasi, lambda f: f) == quasi
 
 

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from sabcorr import fol, semantics
 from sabcorr.syntax import (
-    And, Bot, Box, Dia, ExistsNom, ForallNom, GBox, Iff, Imp, LDia, Nom, Not,
-    Or, Prop, SBox, SDia, Top,
+    And, Bot, Box, Dia, ExistsNom, ForallNom, GBox, Iff, Imp, InvLBox,
+    InvLDia, LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top,
     CONNECTIVES, EMPTY_EDGES, PREFIX, Formula, FreshNominals, ParseError,
     all_names_of, children, eliminate_iff, is_context_free, is_pure,
     nominals_of, occurrence_signs, parse_formula, parse_inequality, polarity,
@@ -34,6 +35,16 @@ def test_every_formula_class_has_a_row():
                     for fl in cls.__dataclass_fields__.values())
         assert len(row.signs["+"]) == len(row.signs["-"]) == arity, cls
         assert (row.prec < PREFIX) == (arity == 2), cls
+    quantifying = {cls for cls, row in CONNECTIVES.items() if row.range}
+    assert quantifying == {Dia, Box, SDia, SBox, LDia, LBox, InvLDia,
+                           InvLBox, GBox, ForallNom, ExistsNom}
+    for cls in quantifying:
+        row = CONNECTIVES[cls]
+        assert row.quantifier in ("exists", "forall"), cls
+        assert row.range in semantics.RANGES, cls
+        assert row.range in fol.RANGES, cls
+    assert all(row.quantifier is None for cls, row in CONNECTIVES.items()
+               if cls not in quantifying)
 
 
 def test_signed_children():
@@ -139,6 +150,15 @@ def test_props_and_nominals():
     assert nominals_of(g) == {"i3", "i4"}
     assert all_names_of(g) == {"i2", "i3", "i4"}
     assert nominals_of(ForallNom("i5", Nom("i5"))) == frozenset()
+    h = And(LBox(frozenset({("i1", "i2")}), p),
+            InvLDia(frozenset({("i3", "i1")}), Nom("i6")))
+    assert props_of(h) == {"p"}
+    assert nominals_of(h) == all_names_of(h) == {"i1", "i2", "i3", "i6"}
+    k = ForallNom("i7", InvLBox(frozenset({("i7", "i8")}),
+                                GBox(Or(q, Nom("i9")))))
+    assert props_of(k) == {"q"}
+    assert nominals_of(k) == {"i8", "i9"}
+    assert all_names_of(k) == {"i7", "i8", "i9"}
 
 
 def test_classification_predicates():
@@ -147,6 +167,15 @@ def test_classification_predicates():
     assert not is_context_free(Dia(Top()))
     assert not is_context_free(SDia(Top()))
     assert is_context_free(LDia(EMPTY_EDGES, Top()))
+    assert is_context_free(LBox(frozenset({("i1", "i2")}), p))
+    assert is_context_free(InvLDia(EMPTY_EDGES, Nom("i1")))
+    assert is_context_free(InvLBox(EMPTY_EDGES, p))
+    assert is_context_free(GBox(Nom("i1")))
+    assert is_context_free(ForallNom("i1", LDia(frozenset({("i1", "i2")}),
+                                                 Nom("i1"))))
+    assert not is_context_free(GBox(Box(p)))
+    assert not is_context_free(InvLBox(EMPTY_EDGES, SBox(p)))
+    assert not is_context_free(ExistsNom("i1", Dia(Nom("i1"))))
 
 
 def test_eliminate_iff_and_substitution():
