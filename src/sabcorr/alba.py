@@ -3,7 +3,8 @@
 Pipeline: order-type search -> preprocessing (distribution, splitting,
 monotone variable elimination) -> first approximation -> outer decomposition
 -> inner decomposition -> packing -> Ackermann elimination -> assembly of
-pure quasi-inequalities.  Every rewrite is recorded as a DerivationStep.
+pure quasi-inequalities.  Every rewrite is recorded as a DerivationStep,
+which keeps the statements themselves and prints them only when read.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from .semantics import (
     print_statement, statement_props,
 )
 from .sahlqvist import (
-    build_signed_tree, classify_node, find_order_type,
-    has_critical_occurrence, is_definite, is_epsilon_sahlqvist,
-    is_inner_sahlqvist,
+    all_excellent, build_signed_tree, classify_node, find_order_type,
+    has_critical_occurrence, is_definite, is_inner_sahlqvist,
 )
 
 
@@ -36,10 +36,22 @@ class StageError(RuntimeError):
 
 @dataclass(frozen=True)
 class DerivationStep:
+    """One rewrite.  It holds the immutable items it consumed and produced
+    (statements and work items); `consumed` and `produced` print them
+    on each read."""
+
     stage: str
     rule: str
-    consumed: tuple
-    produced: tuple
+    consumed_items: tuple
+    produced_items: tuple
+
+    @property
+    def consumed(self) -> tuple:
+        return tuple(map(_show, self.consumed_items))
+
+    @property
+    def produced(self) -> tuple:
+        return tuple(map(_show, self.produced_items))
 
     def as_dict(self) -> dict:
         return {"stage": self.stage, "rule": self.rule,
@@ -91,12 +103,10 @@ class System:
 
 
 def record(trace, stage, rule, consumed, produced):
-    """Append one rewrite, its items printed, to the derivation trace."""
+    """Append one rewrite to the derivation trace."""
     if trace is not None:
-        trace.append(DerivationStep(
-            stage, rule,
-            tuple(_show(c) for c in consumed),
-            tuple(_show(p) for p in produced)))
+        trace.append(DerivationStep(stage, rule, tuple(consumed),
+                                    tuple(produced)))
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +483,9 @@ def ackermann_eliminate(sys: System, p: str, handedness: str) -> System:
     for st in rest:
         q = _body_of(st)
         pol_l, pol_r = polarity(q.lhs, p), polarity(q.rhs, p)
+        if pol_l == pol_r == "absent":
+            new_items.append(st)
+            continue
         if handedness == "right":
             ok = pol_l in ("positive", "absent") and pol_r in ("negative", "absent")
         else:
@@ -481,10 +494,10 @@ def ackermann_eliminate(sys: System, p: str, handedness: str) -> System:
             raise StageError(
                 "substage 4",
                 f"{p} occurs with the wrong polarity in {_show(st)}")
+        # p occurs and the pure bound has no variable, so st changes
         new = map_formulas(st, lambda f: substitute_prop(f, p, repl))
-        if new != st:
-            changed_from.append(st)
-            changed_to.append(new)
+        changed_from.append(st)
+        changed_to.append(new)
         new_items.append(new)
     record(sys.trace, "substage-4", f"ackermann-{handedness}",
            alphas + changed_from, changed_to)
@@ -527,16 +540,17 @@ def run_alba(ineq: Ineq, order_type=None):
     goal = Ineq(Nom(i0), Not(Nom(i1)))
     pre = preprocess(ineq, trace)
     try:
+        # pre is Iff-free and `missing` found eps covering its variables
         for q in pre:
-            if not is_epsilon_sahlqvist(q, eps):
+            trees = (build_signed_tree(q.lhs, "+"),
+                     build_signed_tree(q.rhs, "-"))
+            if not all_excellent(trees, eps):
                 raise StageError("stage 1",
                                  f"{print_statement(q)} is not Sahlqvist "
                                  f"for the chosen order type")
-            for tree in (build_signed_tree(q.lhs, "+"),
-                         build_signed_tree(q.rhs, "-")):
-                if not is_definite(tree, eps):
-                    raise StageError("stage 1",
-                                     f"{print_statement(q)} is not definite")
+            if not all(is_definite(tree, eps) for tree in trees):
+                raise StageError("stage 1",
+                                 f"{print_statement(q)} is not definite")
         quasis = []
         for q in pre:
             sys = first_approximation(q, gen, eps, i0, i1, trace)

@@ -18,7 +18,9 @@ from .sahlqvist import (
     is_epsilon_sahlqvist, is_excellent_branch, parse_order_type,
 )
 from .alba import AlbaFailure, run_alba
-from .fol import closure, correspondent, emit_fo, holds_on_frame, pred_names
+from .fol import (
+    as_json, closure, correspondent, emit_fo, holds_on_frame, pred_names,
+)
 
 
 class UsageError(Exception):
@@ -110,7 +112,7 @@ def cmd_correspond(args) -> int:
     if args.format == "json":
         out = {"order_type": result.order_type,
                "quasis": [print_statement(q) for q in result.quasis],
-               "fo": json.loads(emit_fo(fo, "json"))}
+               "fo": as_json(fo)}
         print(json.dumps(out, indent=2))
     else:
         ot = ", ".join(f"{k}={v}" for k, v in sorted(result.order_type.items()))

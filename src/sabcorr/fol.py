@@ -454,14 +454,15 @@ def _emit(f: FOFormula, d: dict) -> str:
     raise ValueError(msg)
 
 
-def _as_json(f: FOFormula):
+def as_json(f: FOFormula):
+    """The formula as nested JSON values: {key: [names..., children...]}."""
     key, names, kids = _FO_NODES[type(f)]
-    return {key: [*names(f), *map(_as_json, kids(f))]}
+    return {key: [*names(f), *map(as_json, kids(f))]}
 
 
 def emit_fo(f: FOFormula, format: str = "text") -> str:
     if format == "json":
-        return json.dumps(_as_json(f))
+        return json.dumps(as_json(f))
     if format in _DIALECTS:
         d = _DIALECTS[format]
         return d["document"].format(_emit(f, d))

@@ -94,7 +94,8 @@ def _signed_trees(ineq: Ineq) -> tuple:
             build_signed_tree(eliminate_iff(ineq.rhs), "-"))
 
 
-def _all_excellent(trees, eps: dict) -> bool:
+def all_excellent(trees, eps: dict) -> bool:
+    """Every eps-critical branch of the signed trees is excellent."""
     return all(is_excellent_branch(branch) for tree in trees
                for _, branch in critical_branches(tree, eps))
 
@@ -102,7 +103,7 @@ def _all_excellent(trees, eps: dict) -> bool:
 def is_epsilon_sahlqvist(ineq: Ineq, eps: dict) -> bool:
     """eps covers every variable and makes every critical branch excellent."""
     return (props_of(ineq.lhs) | props_of(ineq.rhs) <= eps.keys()
-            and _all_excellent(_signed_trees(ineq), eps))
+            and all_excellent(_signed_trees(ineq), eps))
 
 
 def find_order_type(ineq: Ineq):
@@ -112,7 +113,7 @@ def find_order_type(ineq: Ineq):
     trees = _signed_trees(ineq)
     for values in itertools.product("1d", repeat=len(names)):
         eps = dict(zip(names, values))
-        if _all_excellent(trees, eps):
+        if all_excellent(trees, eps):
             return eps
     return None
 

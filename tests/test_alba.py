@@ -8,12 +8,13 @@ import pytest
 from sabcorr.syntax import (
     And, Bot, Box, Dia, ExistsNom, GBox, Imp, InvLBox, InvLDia, LBox, LDia,
     Nom, Not, Or, Prop, SBox, SDia, Top, EMPTY_EDGES, FreshNominals,
-    parse_inequality, print_formula,
+    parse_inequality,
 )
 from sabcorr.semantics import (
-    Ineq, QuasiUQ, UQIneq, frame_valid, print_statement,
+    Ineq, UQIneq, frame_valid, print_statement,
     statement_props,
 )
+from sabcorr import alba
 from sabcorr.alba import (
     AlbaFailure, AlbaSuccess, Guard, StageError, System,
     WorkItem, ackermann_eliminate, distribute, first_approximation, pack,
@@ -349,6 +350,18 @@ def test_ackermann_polarity_precondition():
     assert exc.value.stage == "substage 4"
 
 
+def test_ackermann_keeps_items_without_p():
+    other = UQIneq(("i2",), Ineq(Top(), Imp(Nom("i2"), Not(Nom("i1")))))
+    sys = _sys([Ineq(Nom("i3"), p), other,
+                Ineq(Top(), Imp(p, Not(Nom("i1"))))])
+    ackermann_eliminate(sys, "p", "right")
+    assert sys.items[0] is other
+    step = sys.trace[-1]
+    assert step.stage == "substage-4"
+    assert all(st is not other for st in step.consumed_items)
+    assert step.consumed == ("i3 <=^{}_{} p", "top <=^{}_{} p -> ~i1")
+
+
 def test_ackermann_substitutes_into_uq_bodies():
     uq = UQIneq(("i2",), Ineq(Top(), Imp(p, Nom("i2"))))
     sys = _sys([Ineq(Nom("i3"), p), uq])
@@ -433,6 +446,23 @@ def test_trace_replay():
         for quasi in result.quasis:
             final.update(print_statement(s) for s in quasi.premises)
         assert +state == +final, text
+
+
+def test_trace_is_printed_only_when_read(monkeypatch):
+    printed = []
+    printer = alba.print_statement
+
+    def counting(st):
+        printed.append(st)
+        return printer(st)
+
+    monkeypatch.setattr(alba, "print_statement", counting)
+    result = run_alba(ineq("<!>[]p <= []<!>p"))
+    assert isinstance(result, AlbaSuccess)
+    assert not printed
+    first = [(step.consumed, step.produced) for step in result.trace]
+    assert printed
+    assert [(step.consumed, step.produced) for step in result.trace] == first
 
 
 def test_trace_json_shape():

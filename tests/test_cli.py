@@ -101,6 +101,20 @@ def test_correspond_trace_file(tmp_path, capsys):
         assert set(step) == {"stage", "rule", "consumed", "produced"}
 
 
+@pytest.mark.parametrize("formula, reference", [
+    ("<>p -> p", "dia-p.json"), ("<!>[]p -> []<!>p", "commute.json")])
+def test_correspond_trace_matches_reference(tmp_path, capsys, formula,
+                                            reference):
+    # the references come from a trace that printed every item when it was
+    # recorded; printing on read must give the same file
+    trace = tmp_path / "trace.json"
+    assert main(["correspond", "--formula", formula,
+                 "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    expected = Path(__file__).parent / "traces" / reference
+    assert trace.read_text() == expected.read_text()
+
+
 def test_verify_pass_and_counts(capsys):
     assert main(["verify", "--formula", "[]p -> p", "--max-worlds", "3"]) == 0
     assert "PASS over 530 frames" in capsys.readouterr().out

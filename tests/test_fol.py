@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from sabcorr.syntax import (
-    And, Bot, Box, Dia, Iff, Imp, Nom, Or, Prop, SDia, Top, EMPTY_EDGES,
+    And, Bot, Box, Dia, Iff, Nom, Or, Prop, SDia, Top, EMPTY_EDGES,
     parse_inequality,
 )
 from sabcorr.semantics import (
