@@ -19,7 +19,7 @@ from .sahlqvist import (
 )
 from .alba import AlbaFailure, run_alba
 from .fol import (
-    as_json, closure, correspondent, emit_fo, holds_on_frame, pred_names,
+    as_json, correspondent, emit_fo, holds_on_frame, pred_names, simplify,
 )
 
 
@@ -127,10 +127,12 @@ def _check(ineq: Ineq, fo, max_worlds: int):
     """Yield (frame, orbit, input valid, correspondent holds) for one frame
     per isomorphism class with at most max_worlds worlds, in enumeration
     order; orbit counts the labelled frames of the class.  Both verdicts
-    are the same on every frame of a class."""
+    are the same on every frame of a class.  The correspondent is checked
+    as its simplified sentence, which has no free names."""
     statement = close_statement(ineq)
     vars = sorted(props_of(ineq.lhs) | props_of(ineq.rhs))
-    sentence, preds = closure(fo), sorted(pred_names(fo))
+    sentence = simplify(fo)
+    preds = sorted(pred_names(sentence))
     for n in range(1, max_worlds + 1):
         for frame, orbit in enumerate_frames(n):
             yield (frame, orbit, frame_valid(frame, statement, vars),

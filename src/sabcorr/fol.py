@@ -1,9 +1,11 @@
-"""First-order correspondence language: standard translation, evaluation
-over finite frames, and text/JSON/TPTP emission.
+"""First-order correspondence language: standard translation,
+simplification, evaluation over finite frames, and text/JSON/TPTP
+emission.
 
 Terms are plain strings: domain variables (x, y0, y1, ...) and nominal
 names (i0, i1, ...), which are treated as quantifiable variables so the
-frame-validity harness can close them universally.
+frame-validity harness can close them universally; `simplify` closes them
+and removes them by the one-point rule.
 """
 
 from __future__ import annotations
@@ -405,6 +407,166 @@ def holds_on_frame(frame: KripkeFrame, sentence: FOFormula, vars=None) -> bool:
     vars = sorted(pred_names(sentence)) if vars is None else vars
     return all(eval_fo(frame, val, sentence)
                for val in valuations(frame, vars))
+
+
+# ---------------------------------------------------------------------------
+# simplification
+
+def simplify(f: FOFormula) -> FOFormula:
+    """A closed sentence true on exactly the frames where closure(f) is
+    true, every domain being non-empty: the negation normal form with each
+    nominal removed by the one-point rule, constants folded, quantifiers
+    miniscoped and bound variables named x, y, z, ... by depth."""
+    simp = _Simplifier()
+    g = simp.walk(f, True, {})
+    # close as `closure` does, the first sorted name outermost
+    for name in sorted(simp.names(g), reverse=True):
+        g = simp.quantify(True, name, g)
+    return _name_by_depth(g, 0, {})
+
+
+_TRUE, _FALSE = FOAnd(()), FOOr(())
+_LITERALS = (Eq, Rel, Pred, FONot)
+
+
+class _Simplifier:
+    """One bottom-up pass over a formula.  Each node it builds has its
+    free names noted at construction, from those of its parts; the table
+    holds the node too, so its id is never reused while in use."""
+
+    def __init__(self):
+        self.free = {id(_TRUE): (_TRUE, frozenset()),
+                     id(_FALSE): (_FALSE, frozenset())}
+        self.count = 0
+
+    def note(self, g: FOFormula, free) -> FOFormula:
+        self.free[id(g)] = (g, free)
+        return g
+
+    def names(self, g: FOFormula) -> frozenset:
+        return self.free[id(g)][1]
+
+    def walk(self, f: FOFormula, positive: bool, env: dict) -> FOFormula:
+        """f, or its negation, in simplified negation normal form, each
+        name read through env; a name not in env stands for itself."""
+        t = type(f)
+        if t is FONot:
+            return self.walk(f.child, not positive, env)
+        if t is FOImp:
+            return self.junction(not positive, (
+                self.walk(f.left, not positive, env),
+                self.walk(f.right, positive, env)))
+        if t is FOAnd or t is FOOr:
+            return self.junction(positive == (t is FOAnd),
+                                 [self.walk(p, positive, env) for p in f.parts])
+        if t is FOForall or t is FOExists:
+            # a fresh name per binder keeps bound variables apart
+            var = f"#{self.count}"
+            self.count += 1
+            body = self.walk(f.body, positive, {**env, f.var: var})
+            return self.quantify(positive == (t is FOForall), var, body)
+        if t is Pred:
+            term = env.get(f.t, f.t)
+            atom, free = Pred(f.name, term), frozenset((term,))
+        else:
+            a, b = env.get(f.a, f.a), env.get(f.b, f.b)
+            if t is Eq and a == b:
+                return _TRUE if positive else _FALSE
+            atom, free = t(a, b), frozenset((a, b))
+        return self.note(atom if positive else FONot(atom), free)
+
+    def junction(self, conjunction: bool, parts) -> FOFormula:
+        """The flattened conjunction or disjunction of simplified parts,
+        without units or repeated literals; a zero absorbs it."""
+        kind, dual = (FOAnd, FOOr) if conjunction else (FOOr, FOAnd)
+        out, seen, free = [], set(), set()
+        for g in parts:
+            for h in g.parts if type(g) is kind else (g,):
+                if type(h) is dual and not h.parts:
+                    return h
+                if type(h) in _LITERALS:
+                    if h in seen:
+                        continue
+                    seen.add(h)
+                out.append(h)
+                free |= self.names(h)
+        if len(out) == 1:
+            return out[0]
+        return self.note(kind(tuple(out)), frozenset(free))
+
+    def quantify(self, forall: bool, var: str, body: FOFormula) -> FOFormula:
+        """forall var. body, or exists var. body, over a simplified body."""
+        free = self.names(body)
+        if var not in free:
+            return body
+        # forall v (v != t | A) and exists v (v = t & A) are both A[t/v]
+        inner, outer = (FOOr, FOAnd) if forall else (FOAnd, FOOr)
+        parts = body.parts if type(body) is inner else (body,)
+        for k, part in enumerate(parts):
+            point = _one_point(part, var, forall)
+            if point is not None:
+                return self.junction(not forall, [
+                    self.substitute(p, var, point)
+                    for p in parts[:k] + parts[k + 1:]])
+        # forall goes through &, exists through |; parts without var leave
+        if type(body) is outer:
+            return self.junction(forall, [self.quantify(forall, var, p)
+                                          for p in body.parts])
+        inside = [p for p in parts if var in self.names(p)]
+        if len(inside) < len(parts):
+            outside = [p for p in parts if var not in self.names(p)]
+            scoped = self.junction(not forall, inside)
+            return self.junction(not forall, [
+                *outside, self.quantify(forall, var, scoped)])
+        node = (FOForall if forall else FOExists)(var, body)
+        return self.note(node, free - {var})
+
+    def substitute(self, g: FOFormula, var: str, term: str) -> FOFormula:
+        """Simplified g with term for the free var, simplified again; term
+        is free where var is, and bound variables are apart, so nothing is
+        captured."""
+        if var not in self.names(g):
+            return g
+        t = type(g)
+        if t is FOAnd or t is FOOr:
+            return self.junction(t is FOAnd, [self.substitute(p, var, term)
+                                              for p in g.parts])
+        if t is FOForall or t is FOExists:
+            return self.quantify(t is FOForall, g.var,
+                                 self.substitute(g.body, var, term))
+        return self.walk(g, True, {var: term})
+
+
+def _one_point(literal: FOFormula, var: str, forall: bool):
+    """t where literal is var != t under forall, or var = t under exists."""
+    if forall:
+        if type(literal) is not FONot:
+            return None
+        literal = literal.child
+    if type(literal) is not Eq:
+        return None
+    if literal.a == var:
+        return literal.b
+    if literal.b == var:
+        return literal.a
+    return None
+
+
+_BOUND_NAMES = ("x", "y", "z")
+
+
+def _name_by_depth(g: FOFormula, depth: int, names: dict) -> FOFormula:
+    t = type(g)
+    if t is Eq or t is Rel:
+        return t(names[g.a], names[g.b])
+    if t is Pred:
+        return Pred(g.name, names[g.t])
+    if t is FONot:
+        return FONot(_name_by_depth(g.child, depth, names))
+    if t is FOAnd or t is FOOr:
+        return t(tuple(_name_by_depth(p, depth, names) for p in g.parts))
+    var = _BOUND_NAMES[depth] if depth < len(_BOUND_NAMES) else f"x{depth}"
+    return t(var, _name_by_depth(g.body, depth + 1, {**names, g.var: var}))
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from sabcorr.alba import (
     reduce_outer, run_alba, _is_critical_prop,
 )
 from sabcorr.fol import (
-    FOExists, FOForall, Rel, closure, correspondent, eval_fo, free_names,
-    holds_on_frame, st_statement, translate_formula,
+    FOExists, FOForall, Rel, closure, correspondent, emit_fo, eval_fo,
+    free_names, holds_on_frame, simplify, st_statement, translate_formula,
 )
 from sabcorr.cli import load_corpus
 
@@ -445,6 +445,23 @@ def test_criterion_5_known_correspondents(capsys):
             assert isinstance(result, AlbaSuccess), text
             fo = _closed(correspondent(result.quasis))
             assert fo_equiv_on_small_frames(fo, expected, max_n=3), text
+        # the simplified sentences read as the textbook conditions
+        reflexive = "forall x. R(x,x)"
+        nonempty = "exists x. exists y. R(x,y)"
+        printed = {
+            "[]p -> p": reflexive,
+            "p -> <>p": reflexive,
+            "p -> []<>p": "forall x. forall y. (R(y,x) | ~R(x,y))",
+            "[]p -> [][]p":
+                "forall x. forall y. (~R(x,y) | forall z. (R(x,z) | ~R(y,z)))",
+            "top -> <!>top": nonempty,
+            "[!]p -> p": nonempty,
+        }
+        for text, expected in printed.items():
+            result = run_alba(Ineq(*parse_inequality(text)))
+            assert isinstance(result, AlbaSuccess), text
+            assert emit_fo(simplify(correspondent(result.quasis))) == \
+                expected, text
     _report(capsys, "criterion 5 (known first-order correspondents, n <= 3)",
             60.0, run)
 

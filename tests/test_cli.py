@@ -12,6 +12,8 @@ from sabcorr import cli
 from sabcorr.cli import load_corpus, main
 from sabcorr.syntax import _SYMBOLS, Box, Dia, Prop, parse_inequality
 from sabcorr.semantics import Ineq, closure, enumerate_frames, frame_valid
+from sabcorr.alba import run_alba
+from sabcorr.fol import correspondent, emit_fo, free_names, holds_on_frame
 
 from frames import labelled_frames
 
@@ -139,6 +141,23 @@ def test_verify_fail_names_the_first_failing_labelled_frame(monkeypatch,
     assert expected.startswith("FAIL at n=2; edges=[(0, 0), (0, 1)]:")
     assert main(["verify", "--formula", "[]p -> p", "--max-worlds", "3"]) == 1
     assert capsys.readouterr().out == expected
+
+
+def test_verify_checks_the_simplified_sentence(monkeypatch, capsys):
+    # the raw correspondent keeps 16 ALBA nominals free; closed by brute
+    # force, that was 2^16 assignments on each two-world frame
+    text = "(<>p | <>q) -> [!](<!>bot -> (top | top))"
+    raw = correspondent(run_alba(Ineq(*parse_inequality(text))).quasis)
+    assert len(free_names(raw)) == 16
+    checked = set()
+
+    def spy(frame, sentence, vars=None):
+        checked.add(sentence)
+        return holds_on_frame(frame, sentence, vars)
+    monkeypatch.setattr(cli, "holds_on_frame", spy)
+    assert main(["verify", "--formula", text, "--max-worlds", "2"]) == 0
+    assert "PASS over 18 frames" in capsys.readouterr().out
+    assert [emit_fo(s) for s in checked] == ["true"]
 
 
 def test_orbit_weighted_counts_match_labelled_counts():

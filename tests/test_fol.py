@@ -1,5 +1,7 @@
-"""Standard translation, first-order evaluation and emission tests."""
+"""Standard translation, first-order evaluation, simplification and
+emission tests."""
 
+import functools
 import json
 import re
 from pathlib import Path
@@ -18,9 +20,9 @@ from sabcorr.alba import AlbaSuccess, run_alba
 from sabcorr.cli import load_corpus
 from sabcorr.fol import (
     Eq, FOAnd, FOEvalError, FOExists, FOForall, FOImp, FONot, FOOr, Pred,
-    Rel, closure, correspondent, emit_fo, eval_fo, fo_and, free_names,
-    holds_on_frame, pred_names, st_formula, st_statement, translate_formula,
-    _VarGen,
+    Rel, as_json, closure, correspondent, emit_fo, eval_fo, fo_and,
+    free_names, holds_on_frame, pred_names, simplify, st_formula,
+    st_statement, translate_formula, _VarGen,
 )
 
 from fo_equiv import fo_equiv_on_small_frames
@@ -116,27 +118,30 @@ def test_eval_fo_reads_nominals_from_valuation():
         eval_fo(loop, Valuation.make({}, {}), Rel("i9", "i9"))
 
 
+HAND_WRITTEN = [
+    # y re-bound inside its own scope, then read again outside it
+    FOForall("x", FOExists("y", FOAnd((
+        Rel("x", "y"),
+        FOForall("y", FOImp(Rel("y", "x"), Pred("p", "y"))),
+        Pred("q", "y"))))),
+    # some world has a loop and some has none; every world has a loop
+    # if one has
+    FOExists("x", FOAnd((FOExists("x", Rel("x", "x")),
+                         FONot(Rel("x", "x"))))),
+    FOForall("x", FOImp(FOExists("x", Rel("x", "x")), Rel("x", "x"))),
+    FOImp(FOAnd(()), FOOr(())),
+    FOOr((FOAnd(()), Rel("i1", "i2"))),
+    FOImp(Rel("i1", "i2"), FONot(FOOr((Pred("p", "i2"), FOOr(()))))),
+]
+
+
 def test_eval_fo_matches_the_independent_oracle():
     # bench/oracle.py evaluates the JSON form with its own closure; it
     # shares no code with sabcorr
     oracle = _bench_module("oracle")
     sentences = [correspondent(run_alba(iq).quasis)
                  for _, iq in load_corpus(CORPUS)]
-    sentences += [
-        # y re-bound inside its own scope, then read again outside it
-        FOForall("x", FOExists("y", FOAnd((
-            Rel("x", "y"),
-            FOForall("y", FOImp(Rel("y", "x"), Pred("p", "y"))),
-            Pred("q", "y"))))),
-        # some world has a loop and some has none; every world has a loop
-        # if one has
-        FOExists("x", FOAnd((FOExists("x", Rel("x", "x")),
-                             FONot(Rel("x", "x"))))),
-        FOForall("x", FOImp(FOExists("x", Rel("x", "x")), Rel("x", "x"))),
-        FOImp(FOAnd(()), FOOr(())),
-        FOOr((FOAnd(()), Rel("i1", "i2"))),
-        FOImp(Rel("i1", "i2"), FONot(FOOr((Pred("p", "i2"), FOOr(()))))),
-    ]
+    sentences += HAND_WRITTEN
     verdicts = set()
     for fo in sentences:
         data = json.loads(emit_fo(fo, "json"))
@@ -211,6 +216,93 @@ def test_empty_connectives():
     assert eval_fo(f, v, fo_and([]))
     assert not eval_fo(f, v, FOOr(()))
     assert fo_and([Eq("x", "x")]) == Eq("x", "x")
+
+
+# ---------------------------------------------------------------------------
+# simplification
+
+@pytest.mark.parametrize("fo, printed", [
+    # one-point rule under forall, then the closure of i1
+    (FOForall("v", FOImp(Eq("v", "i1"), Rel("v", "v"))), "forall x. R(x,x)"),
+    # one-point rule under exists, with the name on the right
+    (FOExists("v", FOAnd((Eq("i1", "v"), Rel("v", "i2")))),
+     "forall x. forall y. R(x,y)"),
+    # t = t is true and absorbs the disjunction
+    (FOImp(Rel("i1", "i2"), FOOr((Eq("i2", "i2"), Pred("p", "i1")))), "true"),
+    (FOForall("v", FOAnd((Rel("v", "v"), FONot(Eq("v", "v"))))), "false"),
+    # units vanish, repeated literals go, a vacuous quantifier is dropped
+    (FOExists("v", FOAnd((Rel("i1", "i1"), FOAnd(()), FOOr(()),
+                          Rel("i1", "i1")))), "false"),
+    (FOOr((Rel("i1", "i1"), FOOr(()), Rel("i1", "i1"))), "forall x. R(x,x)"),
+    # forall through &, exists through |, and a part without the bound
+    # name pulled out; a name re-bound in its own scope is renamed apart
+    (FOForall("u", FOAnd((Rel("u", "u"), FOExists("v", Rel("u", "v"))))),
+     "(forall x. R(x,x) & forall x. exists y. R(x,y))"),
+    (FOForall("u", FOExists("v", FOOr((Rel("u", "u"), Rel("v", "v"))))),
+     "(exists x. R(x,x) | forall x. R(x,x))"),
+    (FOForall("a", FOExists("b", FOForall("c", FOExists("a", FOAnd((
+        Rel("a", "b"), Rel("b", "c"), Rel("c", "a"))))))),
+     "exists x. (forall y. R(x,y) & forall y. exists z. (R(z,x) & R(y,z)))"),
+    # bound names follow depth, past z too
+    (FOForall("d", FOOr((Rel("i1", "d"), Rel("i2", "d"), Rel("i3", "d")))),
+     "forall x. forall y. forall z. forall x3. (R(x,x3) | R(y,x3) | R(z,x3))"),
+])
+def test_simplify_rules(fo, printed):
+    assert emit_fo(simplify(fo)) == printed
+    assert fo_equiv_on_small_frames(simplify(fo), closure(fo), max_n=2)
+
+
+def test_simplify_handles_rebinding_and_predicates():
+    # names re-bound inside their own scope, predicates closed over every
+    # valuation, and empty junctions
+    for fo in HAND_WRITTEN:
+        assert free_names(simplify(fo)) == frozenset()
+        assert fo_equiv_on_small_frames(simplify(fo), closure(fo), max_n=3)
+
+
+@functools.lru_cache(maxsize=None)
+def _generated_correspondents():
+    """(formula tuple, raw correspondent) for 250 distinct inputs of
+    families a and b of bench/gen.py, seed 1, that ALBA solves with at most
+    six free names in the raw correspondent."""
+    gen = _bench_module("gen")
+    out, seen = [], set()
+    for family, formula, text, *_ in gen.make_inputs(1, 400):
+        if family == "c" or text in seen:
+            continue
+        seen.add(text)
+        result = run_alba(ineq(text))
+        if isinstance(result, AlbaSuccess):
+            fo = correspondent(result.quasis)
+            if len(free_names(fo)) <= 6:
+                out.append((formula, fo))
+    return tuple(out[:250])
+
+
+def test_simplify_agrees_with_closure():
+    # corpus on every frame with n <= 3, generated inputs with n <= 2
+    cases = [(correspondent(run_alba(iq).quasis), 3)
+             for _, iq in load_corpus(CORPUS)]
+    assert len(cases) == 13
+    cases += [(fo, 2) for _, fo in _generated_correspondents()]
+    assert len(cases) >= 13 + 200
+    for fo, max_n in cases:
+        sentence = simplify(fo)
+        assert free_names(sentence) == frozenset()
+        closed = closure(fo)
+        for frame in (f for n in range(1, max_n + 1)
+                      for f in labelled_frames(n)):
+            assert holds_on_frame(frame, sentence) == \
+                holds_on_frame(frame, closed), (emit_fo(fo), frame)
+
+
+def test_simplify_matches_the_independent_oracle():
+    # bench/oracle.py reads the input formula and the simplified sentence
+    # with its own evaluators, on every frame with n <= 2
+    oracle = _bench_module("oracle")
+    for formula, fo in _generated_correspondents():
+        found = oracle.disagreement(formula, as_json(simplify(fo)))
+        assert found is None, (formula, found)
 
 
 # ---------------------------------------------------------------------------
