@@ -123,20 +123,26 @@ def cmd_correspond(args) -> int:
     return 0
 
 
-def _check(ineq: Ineq, fo, max_worlds: int):
-    """Yield (frame, orbit, input valid, correspondent holds) for one frame
-    per isomorphism class with at most max_worlds worlds, in enumeration
-    order; orbit counts the labelled frames of the class.  Both verdicts
-    are the same on every frame of a class.  The correspondent is checked
-    as its simplified sentence, which has no free names."""
+def _classes(max_worlds: int):
+    """One frame per isomorphism class with at most max_worlds worlds, as
+    (frame, orbit), in enumeration order; orbit counts the labelled frames
+    of the class."""
+    for n in range(1, max_worlds + 1):
+        yield from enumerate_frames(n)
+
+
+def _check(ineq: Ineq, fo, classes):
+    """Yield (frame, orbit, input valid, correspondent holds) for each
+    (frame, orbit) of classes.  Both verdicts are the same on every frame
+    of a class.  The correspondent is checked as its simplified sentence,
+    which has no free names."""
     statement = close_statement(ineq)
     vars = sorted(props_of(ineq.lhs) | props_of(ineq.rhs))
     sentence = simplify(fo)
     preds = sorted(pred_names(sentence))
-    for n in range(1, max_worlds + 1):
-        for frame, orbit in enumerate_frames(n):
-            yield (frame, orbit, frame_valid(frame, statement, vars),
-                   holds_on_frame(frame, sentence, preds))
+    for frame, orbit in classes:
+        yield (frame, orbit, frame_valid(frame, statement, vars),
+               holds_on_frame(frame, sentence, preds))
 
 
 def cmd_verify(args) -> int:
@@ -151,7 +157,7 @@ def cmd_verify(args) -> int:
     # failing frame
     checked = 0
     for frame, orbit, lhs, rhs in _check(ineq, correspondent(result.quasis),
-                                         args.max_worlds):
+                                         _classes(args.max_worlds)):
         if lhs != rhs:
             print(f"FAIL at n={frame.n}; edges={sorted(frame.r0)}: "
                   f"input valid={lhs}, correspondent={rhs}")
@@ -191,6 +197,7 @@ def cmd_corpus(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     _check_max_worlds(args)
+    classes = list(_classes(args.max_worlds))  # drawn once for every entry
     all_ok = True
     for label, ineq in entries:
         result = run_alba(ineq)
@@ -202,7 +209,7 @@ def cmd_corpus(args) -> int:
             all_ok = False
             continue
         ok = all(lhs == rhs for _, _, lhs, rhs in
-                 _check(ineq, correspondent(result.quasis), args.max_worlds))
+                 _check(ineq, correspondent(result.quasis), classes))
         status = "verified" if ok else "MISMATCH"
         all_ok = all_ok and ok
         ot = ",".join(f"{k}={v}"

@@ -1,9 +1,11 @@
 """Finite Kripke semantics with edge deletion, for formulas and statements.
 
-The evaluation of [] <> [!] <!> reads the current relation (r0 minus the
-accumulated deleted edges); labeled modalities box^S / dia^S and their
-inverses read r0 minus the edges denoted by S, ignoring deletions; A
-quantifies over all worlds under the current relation.
+`extension` evaluates a formula to the bit mask of the worlds where it
+holds, world w at bit w, by one mask rule per node class.  [] <> [!] <!>
+read the current relation (r0 minus the accumulated deleted edges);
+labeled modalities box^S / dia^S and their inverses read r0 minus the
+edges denoted by S, ignoring deletions; A quantifies over all worlds under
+the current relation.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ class EvalError(ValueError):
 class KripkeFrame:
     n: int
     r0: frozenset
+    full: int = field(init=False, repr=False, compare=False)  # every world
 
     def __post_init__(self):
         if self.n < 1:
@@ -38,6 +41,7 @@ class KripkeFrame:
             if not (0 <= a < self.n and 0 <= b < self.n):
                 msg = f"edge ({a},{b}) out of range for n={self.n}"
                 raise ValueError(msg)
+        object.__setattr__(self, "full", (1 << self.n) - 1)
 
     @property
     def worlds(self):
@@ -70,57 +74,83 @@ def edges_of(val: Valuation, s: EdgeLabelSet) -> frozenset:
     return frozenset((val.nom(a), val.nom(b)) for a, b in s)
 
 
+def _pre(pairs, mask: int) -> int:
+    """The worlds u with an arrow (u, v) in pairs to some v in mask."""
+    out = 0
+    for u, v in pairs:
+        if mask >> v & 1:
+            out |= 1 << u
+    return out
+
+
 # One rule per range of a quantifying connective (`syntax.Connective.range`):
-# the (valuation, deleted edges, world) points where the node at world w
-# reads its child.
+# masks whose union is where the node's existential reading holds, each mask
+# of the child XORed with `flip`.  A universal node passes flip = every world
+# and complements the union, since forall is not exists not.
 RANGES = {
-    "succ": lambda frame, val, deleted, w, f: (
-        (val, deleted, v) for (u, v) in frame.r0 - deleted if u == w),
-    "edge": lambda frame, val, deleted, w, f: (
-        (val, deleted | {e}, w) for e in frame.r0 - deleted),
-    "label": lambda frame, val, deleted, w, f: (
-        (val, deleted, v) for (u, v) in frame.r0 - edges_of(val, f.s)
-        if u == w),
-    "inv": lambda frame, val, deleted, w, f: (
-        (val, deleted, u) for (u, v) in frame.r0 - edges_of(val, f.s)
-        if v == w),
-    "world": lambda frame, val, deleted, w, f: (
-        (val, deleted, v) for v in frame.worlds),
-    "nom": lambda frame, val, deleted, w, f: (
-        (val.with_nom(f.nom, v), deleted, w) for v in frame.worlds),
+    "succ": lambda frame, val, deleted, f, flip: (_pre(
+        frame.r0 - deleted, extension(frame, val, deleted, f.child) ^ flip),),
+    "edge": lambda frame, val, deleted, f, flip: (
+        extension(frame, val, deleted | {e}, f.child) ^ flip
+        for e in frame.r0 - deleted),
+    "label": lambda frame, val, deleted, f, flip: (_pre(
+        frame.r0 - edges_of(val, f.s),
+        extension(frame, val, deleted, f.child) ^ flip),),
+    "inv": lambda frame, val, deleted, f, flip: (_pre(
+        [(v, u) for u, v in frame.r0 - edges_of(val, f.s)],
+        extension(frame, val, deleted, f.child) ^ flip),),
+    "world": lambda frame, val, deleted, f, flip: (
+        frame.full if extension(frame, val, deleted, f.child) ^ flip else 0,),
+    "nom": lambda frame, val, deleted, f, flip: (
+        extension(frame, val.with_nom(f.nom, v), deleted, f.child) ^ flip
+        for v in frame.worlds),
 }
+
+
+def _quantify(frame, val, deleted, f):
+    row = CONNECTIVES[type(f)]
+    flip = 0 if row.quantifier == "exists" else frame.full
+    out = 0
+    for mask in RANGES[row.range](frame, val, deleted, f, flip):
+        out |= mask
+        if out == frame.full:
+            break
+    return out ^ flip
+
+
+def _junction(op):
+    return lambda frame, val, deleted, f: op(
+        extension(frame, val, deleted, f.left),
+        extension(frame, val, deleted, f.right), frame.full)
+
+
+# One mask rule per node class: its extension from its children's.
+_EXTENSION = {
+    Bot: lambda frame, val, deleted, f: 0,
+    Top: lambda frame, val, deleted, f: frame.full,
+    Prop: lambda frame, val, deleted, f: val.props.get(f.name, 0),
+    Nom: lambda frame, val, deleted, f: 1 << val.nom(f.name),
+    Not: lambda frame, val, deleted, f: (
+        extension(frame, val, deleted, f.child) ^ frame.full),
+    And: _junction(lambda a, b, full: a & b),
+    Or: _junction(lambda a, b, full: a | b),
+    Imp: _junction(lambda a, b, full: a ^ full | b),
+    Iff: _junction(lambda a, b, full: a ^ b ^ full),
+    **dict.fromkeys((c for c, row in CONNECTIVES.items() if row.range),
+                    _quantify),
+}
+
+
+def extension(frame: KripkeFrame, val: Valuation, deleted: frozenset,
+              f: Formula) -> int:
+    """The bit mask of the worlds where f holds, the edges in deleted taken
+    out of the current relation."""
+    return _EXTENSION[type(f)](frame, val, deleted, f)
 
 
 def satisfies(frame: KripkeFrame, val: Valuation, deleted: frozenset,
               w: int, f: Formula) -> bool:
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Prop):
-        return bool(val.props.get(f.name, 0) >> w & 1)
-    if isinstance(f, Nom):
-        return w == val.nom(f.name)
-    if isinstance(f, Not):
-        return not satisfies(frame, val, deleted, w, f.child)
-    if isinstance(f, And):
-        return (satisfies(frame, val, deleted, w, f.left)
-                and satisfies(frame, val, deleted, w, f.right))
-    if isinstance(f, Or):
-        return (satisfies(frame, val, deleted, w, f.left)
-                or satisfies(frame, val, deleted, w, f.right))
-    if isinstance(f, Imp):
-        return (not satisfies(frame, val, deleted, w, f.left)
-                or satisfies(frame, val, deleted, w, f.right))
-    if isinstance(f, Iff):
-        return (satisfies(frame, val, deleted, w, f.left)
-                == satisfies(frame, val, deleted, w, f.right))
-    row = CONNECTIVES[type(f)]
-    exists = row.quantifier == "exists"
-    for v, d, u in RANGES[row.range](frame, val, deleted, w, f):
-        if satisfies(frame, v, d, u, f.child) == exists:
-            return exists  # a witness, or a counterexample to forall
-    return not exists
+    return bool(extension(frame, val, deleted, f) >> w & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +192,8 @@ class QuasiUQ(Statement):
 
 def eval_statement(frame: KripkeFrame, val: Valuation, s: Statement) -> bool:
     if isinstance(s, Ineq):
-        del_sup = edges_of(val, s.sup) & frame.r0
-        del_sub = edges_of(val, s.sub) & frame.r0
-        return all(satisfies(frame, val, del_sub, w, s.rhs)
-                   for w in frame.worlds
-                   if satisfies(frame, val, del_sup, w, s.lhs))
+        return not (extension(frame, val, edges_of(val, s.sup), s.lhs)
+                    & ~extension(frame, val, edges_of(val, s.sub), s.rhs))
     if isinstance(s, MegaGuard):
         rel = frame.r0 - edges_of(val, s.s)
         return all(eval_statement(frame,

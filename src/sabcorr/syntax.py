@@ -10,8 +10,8 @@ printable but not parseable.
 in signed generation trees, the sign of each child, how it is printed and
 parsed, and, for a modality or a nominal quantifier, its quantifier and the
 range it quantifies over.  Adding a connective means adding its class and
-its row here; a new range also needs its rule in `semantics.RANGES` and in
-`fol.RANGES`.
+its row here; a new range also needs its mask rule in `semantics.RANGES`
+and its translation rule in `fol.RANGES`.
 """
 
 from __future__ import annotations
@@ -182,8 +182,10 @@ class Connective:
     the token.
     quantifier, range: given together as `quantifies` by a modality or a
     nominal quantifier, 'exists' or 'forall' and the name of the points
-    where it reads its child (succ, edge, label, inv, world, nom), whose
-    rules are `semantics.RANGES` and `fol.RANGES`; None for other nodes.
+    it quantifies over (succ, edge, label, inv, world, nom); per range,
+    `semantics.RANGES` gives the world masks whose union is its
+    existential reading and `fol.RANGES` its standard translation.  None
+    for other nodes.
     children, rebuild: read the children of a node, and copy a node with
     new children.
     """

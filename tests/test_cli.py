@@ -122,6 +122,13 @@ def test_verify_pass_and_counts(capsys):
     assert "PASS over 530 frames" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("formula", ["<!>[]p -> []<!>p", "[!]p -> p"])
+def test_verify_at_the_advertised_bound(formula, capsys):
+    # four worlds reach the sabotage edge rule with up to 16 arrows
+    assert main(["verify", "--formula", formula, "--max-worlds", "4"]) == 0
+    assert capsys.readouterr().out == "PASS over 66066 frames (n <= 4)\n"
+
+
 def test_verify_fail_names_the_first_failing_labelled_frame(monkeypatch,
                                                            capsys):
     # a stand-in correspondent that is invariant under isomorphism: at

@@ -17,8 +17,9 @@ from sabcorr.syntax import (
 from sabcorr.semantics import (
     EvalError, Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq,
     Valuation, closure, edges_of, enumerate_frames, eval_statement,
-    frame_valid, STATEMENTS, Statement, map_formulas, print_statement,
-    satisfies, statement_nominals, statement_props, valuations,
+    extension, frame_valid, STATEMENTS, Statement, map_formulas,
+    print_statement, satisfies, statement_nominals, statement_props,
+    valuations,
 )
 
 from frames import labelled_frames
@@ -105,6 +106,7 @@ _POOL = [
     LDia(frozenset({("i1", "i2")}), Top()),
     LBox(frozenset({("i1", "i2")}), p),
     InvLDia(EMPTY_EDGES, Nom("i1")), InvLBox(EMPTY_EDGES, p),
+    InvLDia(frozenset({("i2", "i1")}), p),
     GBox(Imp(Nom("i1"), Dia(p))),
     ExistsNom("i3", And(Nom("i3"), p)), ForallNom("i3", Or(Nom("i3"), Top())),
 ]
@@ -115,29 +117,65 @@ def _frames(max_n):
         yield from labelled_frames(n)
 
 
+def _subsets(items):
+    items = sorted(items)
+    return [frozenset(c) for k in range(len(items) + 1)
+            for c in itertools.combinations(items, k)]
+
+
 def _valuations(frame, prop_names=("p", "q"), nom_names=("i1", "i2")):
     worlds = list(frame.worlds)
-    subsets = [frozenset(c) for k in range(len(worlds) + 1)
-               for c in itertools.combinations(worlds, k)]
-    for pv in itertools.product(subsets, repeat=len(prop_names)):
+    for pv in itertools.product(_subsets(worlds), repeat=len(prop_names)):
         for nv in itertools.product(worlds, repeat=len(nom_names)):
             yield Valuation.make(dict(zip(prop_names, pv)),
                                  dict(zip(nom_names, nv)))
 
 
+def _oracle_world_sets(val, worlds):
+    return ({k: {w for w in worlds if m >> w & 1}
+             for k, m in val.props.items()}, dict(val.noms))
+
+
 def test_satisfies_matches_oracle_exhaustively():
+    # extension under every deleted set, not only the empty one: the
+    # oracle reads the current relation r0 minus the deleted edges
     for frame in _frames(2):
         worlds = set(frame.worlds)
         for val in _valuations(frame):
-            props = {k: {w for w in worlds if m >> w & 1}
-                     for k, m in val.props.items()}
-            noms = dict(val.noms)
-            for f in _POOL:
-                ext = oracle_ext(f, worlds, frame.r0, set(frame.r0),
-                                 props, noms)
-                for w in worlds:
-                    assert satisfies(frame, val, frozenset(), w, f) == \
-                        (w in ext), (frame, val, f, w)
+            props, noms = _oracle_world_sets(val, worlds)
+            for deleted in _subsets(frame.r0):
+                rel = set(frame.r0 - deleted)
+                for f in _POOL:
+                    ext = oracle_ext(f, worlds, frame.r0, rel, props, noms)
+                    assert extension(frame, val, deleted, f) == \
+                        sum(1 << w for w in ext), (frame, val, deleted, f)
+                    if not deleted:
+                        for w in worlds:
+                            assert satisfies(frame, val, deleted, w, f) == \
+                                (w in ext), (frame, val, f, w)
+
+
+def test_ineq_with_edge_labels_matches_oracle():
+    # lhs <=^sup_sub rhs: lhs under r0 minus sup inside rhs under r0 minus
+    # sub, the labels read through the nominals
+    labels = [EMPTY_EDGES, frozenset({("i1", "i2")}),
+              frozenset({("i2", "i1"), ("i1", "i1")})]
+    sides = [(Dia(p), p), (Nom("i1"), SDia(Top())), (SBox(Dia(p)), Box(q)),
+             (p, LDia(frozenset({("i1", "i2")}), Nom("i2")))]
+    for frame in _frames(2):
+        worlds = set(frame.worlds)
+        for val in _valuations(frame):
+            props, noms = _oracle_world_sets(val, worlds)
+
+            def ext(f, s):
+                rel = frame.r0 - {(noms[a], noms[b]) for a, b in s}
+                return oracle_ext(f, worlds, frame.r0, rel, props, noms)
+            for sup, sub in itertools.product(labels, repeat=2):
+                if not (sup or sub):
+                    continue
+                for lhs, rhs in sides:
+                    got = eval_statement(frame, val, Ineq(lhs, rhs, sup, sub))
+                    assert got == (ext(lhs, sup) <= ext(rhs, sub))
 
 
 def test_satisfies_examples():
@@ -155,6 +193,24 @@ def test_uninterpreted_nominal_raises():
     f = KripkeFrame(1, frozenset())
     with pytest.raises(EvalError):
         satisfies(f, Valuation.make({}, {}), frozenset(), 0, Nom("i9"))
+
+
+@pytest.mark.parametrize("f", [
+    Or(Top(), Nom("i9")), And(Bot(), Nom("i9")), Imp(Bot(), Nom("i9")),
+    Box(Nom("i9")), InvLDia(EMPTY_EDGES, Nom("i9")),
+    GBox(Or(Top(), Nom("i9"))),
+])
+def test_unbound_nominal_raises_where_a_pointwise_reading_skipped_it(f):
+    # a mask evaluates both sides of a junction, and the child of <>, [],
+    # the labelled modalities and A once for every world, even where no
+    # world has a successor; so an unbound nominal raises where a
+    # world-at-a-time reading never reached it.  Statements that reach
+    # frame_valid are closed
+    empty = KripkeFrame(1, frozenset())
+    with pytest.raises(EvalError):
+        satisfies(empty, Valuation.make({}, {}), frozenset(), 0, f)
+    with pytest.raises(EvalError):
+        eval_statement(empty, Valuation.make({}, {}), Ineq(Top(), f))
 
 
 def test_frame_validation():
