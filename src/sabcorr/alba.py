@@ -23,8 +23,8 @@ from .semantics import (
     print_statement, statement_props,
 )
 from .sahlqvist import (
-    all_excellent, build_signed_tree, classify_node, find_order_type,
-    has_critical_occurrence, is_definite, is_inner_sahlqvist,
+    JOIN, find_order_type, has_critical_occurrence, is_definite,
+    is_inner_sahlqvist, not_excellent,
 )
 
 
@@ -112,12 +112,11 @@ def record(trace, stage, rule, consumed, produced):
 # ---------------------------------------------------------------------------
 # stage 1: preprocessing
 
-# Per sign, the join that preprocessing splits (+or, -and) and the node
-# classes distributed over it: the outer ones other than the join itself.
-_JOIN = {"+": Or, "-": And}
+# Per sign, the node classes distributed over the join that preprocessing
+# splits (+or, -and): the outer ones other than the join itself.
 _DISTRIBUTED = {sign: {cls for cls, row in CONNECTIVES.items()
-                       if classify_node(row.label, sign).is_outer} - {join}
-                for sign, join in _JOIN.items()}
+                       if sign in row.outer} - {join}
+                for sign, join in JOIN.items()}
 
 
 def distribute(f: Formula, sign: str) -> Formula:
@@ -133,9 +132,9 @@ def distribute(f: Formula, sign: str) -> Formula:
     f = row.rebuild(f, kids)
     if type(f) in _DISTRIBUTED[sign]:
         for k, (c, s) in enumerate(zip(kids, signs)):
-            if type(c) is _JOIN[s]:
+            if type(c) is JOIN[s]:
                 before, after = kids[:k], kids[k + 1:]
-                return distribute(_JOIN[sign](
+                return distribute(JOIN[sign](
                     row.rebuild(f, before + (c.left,) + after),
                     row.rebuild(f, before + (c.right,) + after)), sign)
     return f
@@ -280,17 +279,22 @@ def _outer_step(item: WorkItem, gen: FreshNominals):
 
 def _rewrite(sys: System, step, stage: str) -> System:
     """Replace the first active item that `step` rewrites by what it
-    produces, recording the rule, until no active item is rewritten."""
-    while True:
-        for idx, item in enumerate(sys.items):
-            out = item.active != "none" and step(item, sys.gen)
-            if out:
-                rule, new_items = out
-                sys.items[idx:idx + 1] = new_items
-                record(sys.trace, stage, rule, [item], new_items)
-                break
+    produces, recording the rule, until no active item is rewritten.
+
+    A step that returns None draws no nominal and items never change, so
+    the items before a rewrite stay unrewritable and the scan goes on at
+    the rewritten index."""
+    idx = 0
+    while idx < len(sys.items):
+        item = sys.items[idx]
+        out = item.active != "none" and step(item, sys.gen)
+        if out:
+            rule, new_items = out
+            sys.items[idx:idx + 1] = new_items
+            record(sys.trace, stage, rule, [item], new_items)
         else:
-            return sys
+            idx += 1
+    return sys
 
 
 def reduce_outer(sys: System) -> System:
@@ -304,12 +308,11 @@ def _check_substage1(sys: System):
             continue
         q = item.ineq
         if item.active == "rhs":
-            tree = build_signed_tree(q.rhs, "+")
-            ok = isinstance(q.lhs, Nom) and is_inner_sahlqvist(tree, sys.eps)
+            ok = (isinstance(q.lhs, Nom)
+                  and is_inner_sahlqvist(q.rhs, "+", sys.eps))
         else:
-            tree = build_signed_tree(q.lhs, "-")
             ok = (isinstance(q.rhs, Not) and isinstance(q.rhs.child, Nom)
-                  and is_inner_sahlqvist(tree, sys.eps))
+                  and is_inner_sahlqvist(q.lhs, "-", sys.eps))
         if not ok:
             raise StageError("substage 1",
                              f"stuck item {print_statement(item.statement())}")
@@ -542,13 +545,12 @@ def run_alba(ineq: Ineq, order_type=None):
     try:
         # pre is Iff-free and `missing` found eps covering its variables
         for q in pre:
-            trees = (build_signed_tree(q.lhs, "+"),
-                     build_signed_tree(q.rhs, "-"))
-            if not all_excellent(trees, eps):
+            sides = ((q.lhs, "+"), (q.rhs, "-"))
+            if not_excellent(sides, eps):
                 raise StageError("stage 1",
                                  f"{print_statement(q)} is not Sahlqvist "
                                  f"for the chosen order type")
-            if not all(is_definite(tree, eps) for tree in trees):
+            if not all(is_definite(f, sign, eps) for f, sign in sides):
                 raise StageError("stage 1",
                                  f"{print_statement(q)} is not definite")
         quasis = []

@@ -14,8 +14,8 @@ from .semantics import (
     frame_valid, print_statement,
 )
 from .sahlqvist import (
-    build_signed_tree, critical_branches, find_order_type,
-    is_epsilon_sahlqvist, is_excellent_branch, parse_order_type,
+    critical_branches, find_order_type, is_epsilon_sahlqvist,
+    is_excellent_branch, parse_order_type,
 )
 from .alba import AlbaFailure, run_alba
 from .fol import (
@@ -71,10 +71,10 @@ def cmd_classify(args) -> int:
               "variables": {}}
     probe = eps or {v: "1" for v in sorted(props_of(ineq.lhs) | props_of(ineq.rhs))}
     for side, sign in ((ineq.lhs, "+"), (ineq.rhs, "-")):
-        tree = build_signed_tree(eliminate_iff(side), sign)
+        side = eliminate_iff(side)
         for both in ({v: "1" for v in probe}, {v: "d" for v in probe}):
-            for name, branch in critical_branches(tree, both):
-                labels = [f"{n.sign}{n.label}" for n in branch]
+            for name, branch in critical_branches(side, sign, both):
+                labels = [f"{s}{row.label}" for row, s in branch]
                 entry = report["variables"].setdefault(name, [])
                 entry.append({"sign": sign, "branch": labels,
                               "excellent": is_excellent_branch(branch)})

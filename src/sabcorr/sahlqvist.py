@@ -1,150 +1,101 @@
-"""Signed generation trees and the Sahlqvist / definite / inner classifiers.
+"""Critical branches and the Sahlqvist / definite / inner classifiers.
 
-Signs propagate from the root as the connective table in `syntax` says:
-flipped under not and for the first child of imp, kept everywhere else.
-An order type maps each variable to '1' or 'd' (for the dual order); a leaf
-+p with eps(p)='1' or -p with eps(p)='d' is critical.
+A formula is read as the signed generation tree of the paper without
+building one: signs propagate from the root as the connective table in
+`syntax` says (flipped under not and for the first child of imp, kept
+everywhere else), and the same table says at which signs a node is outer
+or inner.  An order type maps each variable to '1' or 'd' (for the dual
+order); a leaf +p with eps(p)='1' or -p with eps(p)='d' is critical.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
-from .syntax import CONNECTIVES, Formula, eliminate_iff, props_of
+from .syntax import (
+    And, Formula, Or, Prop, CONNECTIVES, eliminate_iff, parse_formula, props_of,
+)
 from .semantics import Ineq
 
-_OUTER = {
-    ("or", "+"), ("and", "+"), ("dia", "+"), ("sdia", "+"), ("not", "+"),
-    ("and", "-"), ("or", "-"), ("box", "-"), ("sbox", "-"), ("not", "-"),
-    ("imp", "-"),
-}
-
-_INNER = {
-    ("and", "+"), ("box", "+"), ("sbox", "+"), ("not", "+"),
-    ("or", "-"), ("dia", "-"), ("sdia", "-"), ("not", "-"),
-}
+# Per sign, the join that is outer but not definite (+or, -and):
+# preprocessing splits it and distributes the other outer nodes over it.
+JOIN = {"+": Or, "-": And}
 
 
-@dataclass(frozen=True)
-class NodeClass:
-    is_outer: bool
-    is_inner: bool
-
-
-def classify_node(connective: str, sign: str) -> NodeClass:
-    key = (connective, sign)
-    return NodeClass(key in _OUTER, key in _INNER)
-
-
-@dataclass(frozen=True)
-class SignedTree:
-    label: str
-    sign: str
-    children: tuple
-    formula: Formula
-
-
-def build_signed_tree(f: Formula, root_sign: str) -> SignedTree:
+def critical_branches(f: Formula, sign: str, eps: dict, branch=()):
+    """Yield (variable, branch) for every eps-critical leaf of f signed
+    `sign`.  The branch is the leaf-to-root sequence of (row, sign) pairs
+    of the leaf's ancestors, the leaf itself excluded."""
+    if type(f) is Prop:
+        if f.name in eps and sign == ("+" if eps[f.name] == "1" else "-"):
+            yield f.name, branch
+        return
     row = CONNECTIVES[type(f)]
-    kids = row.children(f)
-    if kids:
-        kids = tuple([build_signed_tree(c, s)
-                      for c, s in zip(kids, row.signs[root_sign])])
-    return SignedTree(row.label, root_sign, kids, f)
-
-
-def critical_branches(tree: SignedTree, eps: dict):
-    """Yield (variable, branch) for every eps-critical leaf.
-
-    The branch is the leaf-to-root sequence of ancestor nodes, leaf side
-    first, excluding the variable leaf itself.
-    """
-    # ancestors is root-to-leaf; reversed gives leaf-to-root
-    def walk(node, ancestors):
-        if node.label == "prop":
-            name = node.formula.name
-            critical_sign = "+" if eps.get(name) == "1" else "-"
-            if name in eps and node.sign == critical_sign:
-                yield name, tuple(reversed(ancestors))
-            return
-        for child in node.children:
-            yield from walk(child, ancestors + [node])
-
-    yield from walk(tree, [])
+    branch = ((row, sign), *branch)
+    for child, s in zip(row.children(f), row.signs[sign]):
+        yield from critical_branches(child, s, eps, branch)
 
 
 def is_excellent_branch(branch) -> bool:
-    """branch: leaf-to-root sequence of SignedTree nodes (leaf excluded).
-
-    Excellent = an inner segment on the leaf side followed by an outer
-    segment on the root side; every split point is tried.
-    """
-    classes = [classify_node(n.label, n.sign) for n in branch]
-    for k in range(len(classes) + 1):
-        if (all(c.is_inner for c in classes[:k])
-                and all(c.is_outer for c in classes[k:])):
-            return True
-    return False
+    """An inner segment on the leaf side followed by an outer segment on
+    the root side: everything from the first non-inner node on is outer."""
+    k = next((i for i, (row, s) in enumerate(branch) if s not in row.inner),
+             len(branch))
+    return all(s in row.outer for row, s in branch[k:])
 
 
-def _signed_trees(ineq: Ineq) -> tuple:
-    """The Iff-free signed trees of both sides; no order type is needed."""
-    return (build_signed_tree(eliminate_iff(ineq.lhs), "+"),
-            build_signed_tree(eliminate_iff(ineq.rhs), "-"))
+def _sides(ineq: Ineq) -> tuple:
+    """The Iff-free sides with their signs; no order type is needed."""
+    return ((eliminate_iff(ineq.lhs), "+"), (eliminate_iff(ineq.rhs), "-"))
 
 
-def all_excellent(trees, eps: dict) -> bool:
-    """Every eps-critical branch of the signed trees is excellent."""
-    return all(is_excellent_branch(branch) for tree in trees
-               for _, branch in critical_branches(tree, eps))
+def not_excellent(sides, eps: dict) -> set:
+    """The variables with an eps-critical branch of the (formula, sign)
+    sides that is not excellent."""
+    return {name for f, sign in sides
+            for name, branch in critical_branches(f, sign, eps)
+            if not is_excellent_branch(branch)}
 
 
 def is_epsilon_sahlqvist(ineq: Ineq, eps: dict) -> bool:
     """eps covers every variable and makes every critical branch excellent."""
     return (props_of(ineq.lhs) | props_of(ineq.rhs) <= eps.keys()
-            and all_excellent(_signed_trees(ineq), eps))
+            and not not_excellent(_sides(ineq), eps))
 
 
 def find_order_type(ineq: Ineq):
     """First order type (lexicographic, '1' before 'd') making the
-    inequality Sahlqvist, or None."""
+    inequality Sahlqvist, or None.  Whether a leaf is critical depends on
+    its own variable's value only, so the first order type gives each
+    variable its first value whose critical branches are all excellent."""
     names = sorted(props_of(ineq.lhs) | props_of(ineq.rhs))
-    trees = _signed_trees(ineq)
-    for values in itertools.product("1d", repeat=len(names)):
-        eps = dict(zip(names, values))
-        if all_excellent(trees, eps):
-            return eps
-    return None
+    sides = _sides(ineq)
+    up = not_excellent(sides, dict.fromkeys(names, "1"))
+    if up and up & not_excellent(sides, dict.fromkeys(up, "d")):
+        return None
+    return {name: "d" if name in up else "1" for name in names}
 
 
-def is_definite(tree: SignedTree, eps: dict) -> bool:
+def is_definite(f: Formula, sign: str, eps: dict) -> bool:
     """No +or / -and on any critical branch.
 
     Those two node shapes are outer-only, so on an excellent branch they can
     only sit in the outer part.
     """
-    for _, branch in critical_branches(tree, eps):
-        for node in branch:
-            if (node.label, node.sign) in {("or", "+"), ("and", "-")}:
-                return False
-    return True
+    return not any(row.cls is JOIN[s]
+                   for _, branch in critical_branches(f, sign, eps)
+                   for row, s in branch)
 
 
-def is_inner_sahlqvist(tree: SignedTree, eps: dict) -> bool:
+def is_inner_sahlqvist(f: Formula, sign: str, eps: dict) -> bool:
     """Every critical branch consists of inner-capable nodes only."""
-    for _, branch in critical_branches(tree, eps):
-        if not all(classify_node(n.label, n.sign).is_inner for n in branch):
-            return False
-    return True
+    return all(s in row.inner
+               for _, branch in critical_branches(f, sign, eps)
+               for row, s in branch)
 
 
 def has_critical_occurrence(f: Formula, sign: str, eps: dict) -> bool:
-    """True iff the signed tree of f rooted with sign contains a critical
-    variable occurrence.  A formula with no critical occurrences is
-    eps-dual-uniform."""
-    tree = build_signed_tree(f, sign)
-    return any(True for _ in critical_branches(tree, eps))
+    """True iff f signed `sign` has a critical variable occurrence.  A
+    formula with no critical occurrences is eps-dual-uniform."""
+    return any(critical_branches(f, sign, eps))
 
 
 def parse_order_type(spec: str) -> dict:
@@ -160,6 +111,16 @@ def parse_order_type(spec: str) -> dict:
         name, value = (x.strip() for x in part.split("=", 1))
         if value not in ("1", "d"):
             msg = f"order-type value must be 1 or d, got {value!r}"
+            raise ValueError(msg)
+        try:
+            is_variable = parse_formula(name) == Prop(name)
+        except ValueError:
+            is_variable = False
+        if not is_variable:
+            msg = f"order-type name {name!r} is not a variable"
+            raise ValueError(msg)
+        if name in eps:
+            msg = f"order-type variable {name!r} given twice"
             raise ValueError(msg)
         eps[name] = value
     return eps

@@ -7,9 +7,10 @@ nominal quantifiers) are produced internally by the rewrite engine and are
 printable but not parseable.
 
 `CONNECTIVES` is the one place that says what each node class is: its label
-in signed generation trees, the sign of each child, how it is printed and
-parsed, and, for a modality or a nominal quantifier, its quantifier and the
-range it quantifies over.  Adding a connective means adding its class and
+in signed generation trees, the sign of each child, the signs at which it
+is an outer or an inner node, how it is printed and parsed, and, for a
+modality or a nominal quantifier, its quantifier and the range it
+quantifies over.  Adding a connective means adding its class and
 its row here; a new range also needs its mask rule in `semantics.RANGES`
 and its translation rule in `fol.RANGES`.
 """
@@ -170,9 +171,13 @@ _CHILDREN = (lambda f: (), lambda f: (f.child,), lambda f: (f.left, f.right))
 class Connective:
     """One row of the connective table.
 
-    label: the node's name in signed generation trees.
+    label: the node's name in the critical branches `classify` reports.
     signs: per sign of the node, the signs of its children; in the row,
     '=' keeps the parent's sign and '~' flips it.
+    outer, inner: the signs at which the node is outer (may sit on the
+    root side of an excellent branch) and inner (may sit on its leaf
+    side); empty for nodes that are neither, which no critical branch of
+    a Sahlqvist inequality crosses.
     token: what the parser reads for the node, if it is in the base
     language: a constant, a prefix operator or an infix symbol.
     prec, right_assoc: the binding strength and grouping of a binary node,
@@ -190,15 +195,19 @@ class Connective:
     new children.
     """
 
-    __slots__ = ("cls", "label", "signs", "token", "prec", "right_assoc",
-                 "head", "quantifier", "range", "children", "rebuild")
+    __slots__ = ("cls", "label", "signs", "outer", "inner", "token", "prec",
+                 "right_assoc", "head", "quantifier", "range", "children",
+                 "rebuild")
 
-    def __init__(self, cls, label, signs="", *, token=None, prec=PREFIX,
-                 right_assoc=False, head=None, quantifies=(None, None)):
+    def __init__(self, cls, label, signs="", *, outer="", inner="",
+                 token=None, prec=PREFIX, right_assoc=False, head=None,
+                 quantifies=(None, None)):
         self.cls = cls
         self.label = label
         self.signs = {s: tuple(s if c == "=" else _FLIP[s] for c in signs)
                       for s in _FLIP}
+        self.outer = outer
+        self.inner = inner
         self.token = token
         self.prec = prec
         self.right_assoc = right_assoc
@@ -223,14 +232,19 @@ CONNECTIVES = {row.cls: row for row in (
     Connective(Prop, "prop", head=lambda f: f.name),
     Connective(Nom, "nom", head=lambda f: f.name),
     Connective(Iff, "iff", "==", token="<->", prec=0, right_assoc=True),
-    Connective(Imp, "imp", "~=", token="->", prec=1, right_assoc=True),
-    Connective(Or, "or", "==", token="|", prec=2),
-    Connective(And, "and", "==", token="&", prec=3),
-    Connective(Not, "not", "~", token="~"),
-    Connective(Dia, "dia", "=", token="<>", quantifies=("exists", "succ")),
-    Connective(Box, "box", "=", token="[]", quantifies=("forall", "succ")),
-    Connective(SDia, "sdia", "=", token="<!>", quantifies=("exists", "edge")),
-    Connective(SBox, "sbox", "=", token="[!]", quantifies=("forall", "edge")),
+    Connective(Imp, "imp", "~=", outer="-", token="->", prec=1,
+               right_assoc=True),
+    Connective(Or, "or", "==", outer="+-", inner="-", token="|", prec=2),
+    Connective(And, "and", "==", outer="+-", inner="+", token="&", prec=3),
+    Connective(Not, "not", "~", outer="+-", inner="+-", token="~"),
+    Connective(Dia, "dia", "=", outer="+", inner="-", token="<>",
+               quantifies=("exists", "succ")),
+    Connective(Box, "box", "=", outer="-", inner="+", token="[]",
+               quantifies=("forall", "succ")),
+    Connective(SDia, "sdia", "=", outer="+", inner="-", token="<!>",
+               quantifies=("exists", "edge")),
+    Connective(SBox, "sbox", "=", outer="-", inner="+", token="[!]",
+               quantifies=("forall", "edge")),
     Connective(LDia, "ldia", "=", head=_labeled("dia"),
                quantifies=("exists", "label")),
     Connective(LBox, "lbox", "=", head=_labeled("box"),

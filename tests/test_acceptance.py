@@ -19,8 +19,7 @@ from sabcorr.semantics import (
     closure as close_statement, eval_statement, frame_valid, statement_props,
 )
 from sabcorr.sahlqvist import (
-    build_signed_tree, find_order_type, has_critical_occurrence, is_definite,
-    is_epsilon_sahlqvist,
+    find_order_type, has_critical_occurrence, is_definite, is_epsilon_sahlqvist,
 )
 from sabcorr.alba import (
     AlbaSuccess, first_approximation, pack, preprocess, reduce_inner,
@@ -559,9 +558,8 @@ def test_criterion_8_stage_postconditions(capsys):
             for one in pre:
                 # after stage 1: definite epsilon-Sahlqvist
                 assert is_epsilon_sahlqvist(one, eps), label
-                for tree in (build_signed_tree(one.lhs, "+"),
-                             build_signed_tree(one.rhs, "-")):
-                    assert is_definite(tree, eps), label
+                for side, sign in ((one.lhs, "+"), (one.rhs, "-")):
+                    assert is_definite(side, sign, eps), label
             for one in pre:
                 sys = first_approximation(one, gen, eps, i0, i1, [])
                 reduce_outer(sys)

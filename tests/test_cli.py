@@ -261,7 +261,7 @@ def test_shipped_corpus_loads():
 # usage errors exit 2 without a traceback
 
 @pytest.mark.parametrize("command", ["classify", "correspond", "verify"])
-@pytest.mark.parametrize("spec", ["p=x", "p"])
+@pytest.mark.parametrize("spec", ["p=x", "p", "=1", "1p=1", "p=1,p=d"])
 def test_malformed_order_type_exit_2(command, spec, capsys):
     assert main([command, "--formula", "[]p -> p", "--order-type", spec]) == 2
     captured = capsys.readouterr()

@@ -1,7 +1,9 @@
-"""Every imported name is read somewhere in its module.
+"""Every imported name is read somewhere in its module, and every
+module-level function and class of the package is read somewhere in the
+package or the tests.
 
-No linter ships with the project, so this scan keeps unused imports out of
-the package and the tests."""
+No linter ships with the project, so these scans keep unused imports and
+dead definitions out of the package and the tests."""
 
 import ast
 from pathlib import Path
@@ -9,8 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "sabcorr").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "sabcorr").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -42,3 +44,48 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _reads(node) -> set:
+    """Names read under node, as a bare name or as an attribute."""
+    return ({n.id for n in ast.walk(node)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(node)
+               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)})
+
+
+def dead_definitions(package: dict, readers: list) -> list:
+    """(module, name) for each module-level function or class of the
+    `package` sources (module name -> source) that no source in
+    `package` or `readers` reads; a definition reading itself, as a
+    recursive function does, does not count."""
+    defined, read = [], set()
+    for source in readers:
+        read |= _reads(ast.parse(source))
+    for module, source in package.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.append((module, stmt.name))
+                read |= _reads(stmt) - {stmt.name}
+            else:
+                read |= _reads(stmt)
+    return sorted((module, name) for module, name in defined
+                  if name not in read)
+
+
+def test_scan_finds_a_dead_definition():
+    package = {"a": "def used():\n    return helper()\n"
+                    "def helper():\n    return 1\n"
+                    "def loop(n):\n    return loop(n - 1)\n"
+                    "class Dead:\n    pass\n",
+               "b": "def main():\n    return 0\n"}
+    readers = ["from a import used\nused()\nimport b\nb.main()\n"]
+    assert dead_definitions(package, readers) == [("a", "Dead"), ("a", "loop")]
+
+
+def test_no_dead_definitions():
+    package = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    readers = [path.read_text(encoding="utf-8") for path in MODULES
+               if path not in PACKAGE]
+    assert dead_definitions(package, readers) == []
