@@ -540,7 +540,6 @@ def run_alba(ineq: Ineq, order_type=None):
     reserved = set(all_names_of(ineq.lhs)) | set(all_names_of(ineq.rhs))
     gen = FreshNominals(reserved)
     i0, i1 = gen.fresh(), gen.fresh()
-    goal = Ineq(Nom(i0), Not(Nom(i1)))
     pre = preprocess(ineq, trace)
     try:
         # pre is Iff-free and `missing` found eps covering its variables
@@ -566,7 +565,7 @@ def run_alba(ineq: Ineq, order_type=None):
             for st in sys.items:
                 if statement_props(st):
                     raise StageError("output", f"impure item {_show(st)}")
-            quasis.append(QuasiUQ(tuple(sys.items), goal))
+            quasis.append(QuasiUQ(tuple(sys.items), sys.goal))
     except StageError as exc:
         return AlbaFailure(str(exc), exc.stage, tuple(trace))
     return AlbaSuccess(eps, tuple(pre), tuple(quasis), tuple(trace))

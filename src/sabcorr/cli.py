@@ -19,7 +19,7 @@ from .sahlqvist import (
 )
 from .alba import AlbaFailure, run_alba
 from .fol import (
-    as_json, correspondent, emit_fo, holds_on_frame, pred_names, simplify,
+    as_json, correspondent, emit_fo, holds_on_frame, simplify,
 )
 
 
@@ -69,10 +69,10 @@ def cmd_classify(args) -> int:
         eps = find_order_type(ineq)
     report = {"sahlqvist": eps is not None, "order_type": eps,
               "variables": {}}
-    probe = eps or {v: "1" for v in sorted(props_of(ineq.lhs) | props_of(ineq.rhs))}
+    names = props_of(ineq.lhs) | props_of(ineq.rhs)
     for side, sign in ((ineq.lhs, "+"), (ineq.rhs, "-")):
         side = eliminate_iff(side)
-        for both in ({v: "1" for v in probe}, {v: "d" for v in probe}):
+        for both in (dict.fromkeys(names, "1"), dict.fromkeys(names, "d")):
             for name, branch in critical_branches(side, sign, both):
                 labels = [f"{s}{row.label}" for row, s in branch]
                 entry = report["variables"].setdefault(name, [])
@@ -139,10 +139,9 @@ def _check(ineq: Ineq, fo, classes):
     statement = close_statement(ineq)
     vars = sorted(props_of(ineq.lhs) | props_of(ineq.rhs))
     sentence = simplify(fo)
-    preds = sorted(pred_names(sentence))
     for frame, orbit in classes:
         yield (frame, orbit, frame_valid(frame, statement, vars),
-               holds_on_frame(frame, sentence, preds))
+               holds_on_frame(frame, sentence))
 
 
 def cmd_verify(args) -> int:

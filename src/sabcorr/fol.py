@@ -18,13 +18,24 @@ from .syntax import (
     And, Bot, Formula, Iff, Imp, Nom, Not, Or, Prop, Top, CONNECTIVES,
 )
 from .semantics import (
-    Ineq, KripkeFrame, MegaGuard, QuasiUQ, Statement, UQIneq,
-    Valuation, valuations,
+    Ineq, KripkeFrame, MegaGuard, QuasiUQ, Statement, UQIneq, valuations,
 )
 
 
 class FOFormula:
     __slots__ = ()
+
+    @functools.cached_property
+    def compiled(self):
+        """The formula as (run, size, names, preds), compiled on first use
+        and kept on this object: run(env) is its truth on a list environment
+        of `size` slots, where names and preds give the slot of each free
+        name and predicate.  A bound name reads the slot of its nearest
+        binder."""
+        slots = _Slots()
+        run = slots.node(self, {})
+        return (run, slots.size, tuple(slots.names.items()),
+                tuple(slots.preds.items()))
 
 
 @dataclass(frozen=True)
@@ -325,31 +336,19 @@ _COMPILE = {
 }
 
 
-@functools.lru_cache(maxsize=256)
-def _compile(f: FOFormula):
-    """f as (run, size, names, preds): run(env) is its truth on a list
-    environment of `size` slots, where names and preds give the slot of
-    each free name and predicate.  A bound name reads the slot of its
-    nearest binder."""
-    slots = _Slots()
-    run = slots.node(f, {})
-    return (run, slots.size, tuple(slots.names.items()),
-            tuple(slots.preds.items()))
-
-
-def eval_fo(frame: KripkeFrame, val: Valuation, f: FOFormula) -> bool:
-    """Truth of f, its free names read from the valuation's nominals."""
-    run, size, names, preds = _compile(f)
+def eval_fo(frame: KripkeFrame, val: dict, f: FOFormula) -> bool:
+    """Truth of f, its free names and predicates read from the valuation."""
+    run, size, names, preds = f.compiled
     env = [None] * size
     env[0], env[1] = frame.r0, frame.worlds
     for name, i in names:
-        if name in val.noms:
-            env[i] = val.noms[name]
+        if name in val:
+            env[i] = val[name]
         else:
             msg = f"unbound name {name!r}"
             raise FOEvalError(msg)
     for name, i in preds:
-        env[i] = val.props.get(name, 0)
+        env[i] = val.get(name, 0)
     return bool(run(env))
 
 
@@ -403,8 +402,10 @@ def closure(f: FOFormula) -> FOFormula:
 
 def holds_on_frame(frame: KripkeFrame, sentence: FOFormula, vars=None) -> bool:
     """Truth of a sentence on the frame under every valuation of vars, by
-    default its predicates; free names are the caller's to close."""
-    vars = sorted(pred_names(sentence)) if vars is None else vars
+    default the predicates of its compiled form, sorted; free names are the
+    caller's to close."""
+    if vars is None:
+        vars = sorted(name for name, _ in sentence.compiled[3])
     return all(eval_fo(frame, val, sentence)
                for val in valuations(frame, vars))
 

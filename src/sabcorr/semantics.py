@@ -6,6 +6,11 @@ read the current relation (r0 minus the accumulated deleted edges);
 labeled modalities box^S / dia^S and their inverses read r0 minus the
 edges denoted by S, ignoring deletions; A quantifies over all worlds under
 the current relation.
+
+A valuation is a plain dict: each proposition maps to the bit mask of its
+worlds and each nominal to its world.  The names never collide, since the
+parser rejects propositions named like the nominals i0, i1, ...  Binding a
+nominal builds a new dict, so a caller's valuation is never changed.
 """
 
 from __future__ import annotations
@@ -48,30 +53,17 @@ class KripkeFrame:
         return range(self.n)
 
 
-@dataclass(frozen=True)
-class Valuation:
-    props: dict = field(default_factory=dict)  # name -> bit mask of worlds
-    noms: dict = field(default_factory=dict)   # name -> world
-
-    @staticmethod
-    def make(props=None, noms=None) -> "Valuation":
-        """A valuation from world sets for props and worlds for noms."""
-        return Valuation({k: sum(1 << w for w in set(v))
-                          for k, v in (props or {}).items()}, dict(noms or {}))
-
-    def nom(self, name: str) -> int:
-        try:
-            return self.noms[name]
-        except KeyError:
-            msg = f"uninterpreted nominal {name!r}"
-            raise EvalError(msg) from None
-
-    def with_nom(self, name: str, world: int) -> "Valuation":
-        return Valuation(self.props, {**self.noms, name: world})
+def nominal(val: dict, name: str) -> int:
+    """The world of a nominal in a valuation."""
+    try:
+        return val[name]
+    except KeyError:
+        msg = f"uninterpreted nominal {name!r}"
+        raise EvalError(msg) from None
 
 
-def edges_of(val: Valuation, s: EdgeLabelSet) -> frozenset:
-    return frozenset((val.nom(a), val.nom(b)) for a, b in s)
+def edges_of(val: dict, s: EdgeLabelSet) -> frozenset:
+    return frozenset((nominal(val, a), nominal(val, b)) for a, b in s)
 
 
 def _pre(pairs, mask: int) -> int:
@@ -102,7 +94,7 @@ RANGES = {
     "world": lambda frame, val, deleted, f, flip: (
         frame.full if extension(frame, val, deleted, f.child) ^ flip else 0,),
     "nom": lambda frame, val, deleted, f, flip: (
-        extension(frame, val.with_nom(f.nom, v), deleted, f.child) ^ flip
+        extension(frame, {**val, f.nom: v}, deleted, f.child) ^ flip
         for v in frame.worlds),
 }
 
@@ -128,8 +120,8 @@ def _junction(op):
 _EXTENSION = {
     Bot: lambda frame, val, deleted, f: 0,
     Top: lambda frame, val, deleted, f: frame.full,
-    Prop: lambda frame, val, deleted, f: val.props.get(f.name, 0),
-    Nom: lambda frame, val, deleted, f: 1 << val.nom(f.name),
+    Prop: lambda frame, val, deleted, f: val.get(f.name, 0),
+    Nom: lambda frame, val, deleted, f: 1 << nominal(val, f.name),
     Not: lambda frame, val, deleted, f: (
         extension(frame, val, deleted, f.child) ^ frame.full),
     And: _junction(lambda a, b, full: a & b),
@@ -141,14 +133,14 @@ _EXTENSION = {
 }
 
 
-def extension(frame: KripkeFrame, val: Valuation, deleted: frozenset,
+def extension(frame: KripkeFrame, val: dict, deleted: frozenset,
               f: Formula) -> int:
     """The bit mask of the worlds where f holds, the edges in deleted taken
     out of the current relation."""
     return _EXTENSION[type(f)](frame, val, deleted, f)
 
 
-def satisfies(frame: KripkeFrame, val: Valuation, deleted: frozenset,
+def satisfies(frame: KripkeFrame, val: dict, deleted: frozenset,
               w: int, f: Formula) -> bool:
     return bool(extension(frame, val, deleted, f) >> w & 1)
 
@@ -190,24 +182,19 @@ class QuasiUQ(Statement):
     conclusion: Statement
 
 
-def eval_statement(frame: KripkeFrame, val: Valuation, s: Statement) -> bool:
+def eval_statement(frame: KripkeFrame, val: dict, s: Statement) -> bool:
     if isinstance(s, Ineq):
         return not (extension(frame, val, edges_of(val, s.sup), s.lhs)
                     & ~extension(frame, val, edges_of(val, s.sub), s.rhs))
     if isinstance(s, MegaGuard):
         rel = frame.r0 - edges_of(val, s.s)
-        return all(eval_statement(frame,
-                                  val.with_nom(s.m0, w).with_nom(s.m1, v),
-                                  s.body)
+        return all(eval_statement(frame, {**val, s.m0: w, s.m1: v}, s.body)
                    for (w, v) in rel)
     if isinstance(s, UQIneq):
-        for worlds in itertools.product(frame.worlds, repeat=len(s.binders)):
-            v = val
-            for name, w in zip(s.binders, worlds):
-                v = v.with_nom(name, w)
-            if not eval_statement(frame, v, s.body):
-                return False
-        return True
+        return all(eval_statement(frame, {**val, **dict(zip(s.binders, ws))},
+                                  s.body)
+                   for ws in itertools.product(frame.worlds,
+                                               repeat=len(s.binders)))
     if isinstance(s, QuasiUQ):
         if all(eval_statement(frame, val, p) for p in s.premises):
             return eval_statement(frame, val, s.conclusion)
@@ -262,10 +249,11 @@ def map_formulas(s: Statement, fn) -> Statement:
 
 
 def valuations(frame: KripkeFrame, props):
-    """Every valuation of `props` on the frame, with no nominals.  Each name
-    maps to a bit mask of worlds, ascending; the first name varies slowest."""
+    """Every valuation of `props` on the frame, with no nominals, each a
+    fresh dict.  Each name maps to a bit mask of worlds, ascending; the
+    first name varies slowest."""
     for masks in itertools.product(range(1 << frame.n), repeat=len(props)):
-        yield Valuation(dict(zip(props, masks)))
+        yield dict(zip(props, masks))
 
 
 def closure(s) -> Statement:

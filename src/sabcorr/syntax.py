@@ -568,7 +568,6 @@ class FreshNominals:
 
     def __init__(self, reserved=()):
         self.reserved = set(reserved)
-        self.issued = []
         self._next = 0
 
     def fresh(self) -> str:
@@ -577,6 +576,5 @@ class FreshNominals:
             self._next += 1
             if name not in self.reserved:
                 self.reserved.add(name)
-                self.issued.append(name)
                 return name
 

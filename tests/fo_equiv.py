@@ -3,7 +3,7 @@ that compare a correspondent with a textbook condition."""
 
 import itertools
 
-from sabcorr.semantics import Valuation, valuations
+from sabcorr.semantics import valuations
 from sabcorr.fol import eval_fo, free_names, pred_names
 
 from frames import labelled_frames
@@ -20,7 +20,7 @@ def fo_equiv_on_small_frames(f1, f2, max_n=3, vars=()):
             for val in valuations(frame, vars):
                 for worlds in itertools.product(frame.worlds,
                                                 repeat=len(names)):
-                    v = Valuation(val.props, dict(zip(names, worlds)))
+                    v = {**val, **dict(zip(names, worlds))}
                     if eval_fo(frame, v, f1) != eval_fo(frame, v, f2):
                         return False
     return True

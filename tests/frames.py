@@ -1,6 +1,6 @@
 """Every labelled frame, for tests that need them all and as the reference
 for `semantics.enumerate_frames`, which yields one frame per isomorphism
-class."""
+class; and valuations built from world sets."""
 
 from sabcorr.semantics import FRAME_CAP, KripkeFrame
 
@@ -15,3 +15,11 @@ def labelled_frames(n):
     for mask in range(1 << (n * n)):
         edges = frozenset(cells[k] for k in range(n * n) if mask >> k & 1)
         yield KripkeFrame(n, edges)
+
+
+def valuation(props=None, noms=None):
+    """A valuation from world sets for propositions and worlds for
+    nominals: one dict from each proposition to its bit mask of worlds and
+    from each nominal to its world."""
+    masks = {k: sum(1 << w for w in set(v)) for k, v in (props or {}).items()}
+    return {**masks, **(noms or {})}

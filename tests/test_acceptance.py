@@ -15,7 +15,7 @@ from sabcorr.syntax import (
     FreshNominals, is_context_free, is_pure, parse_inequality,
 )
 from sabcorr.semantics import (
-    Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq, Valuation,
+    Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq,
     closure as close_statement, eval_statement, frame_valid, statement_props,
 )
 from sabcorr.sahlqvist import (
@@ -32,7 +32,7 @@ from sabcorr.fol import (
 from sabcorr.cli import load_corpus
 
 from fo_equiv import fo_equiv_on_small_frames
-from frames import labelled_frames
+from frames import labelled_frames, valuation
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sahlqvist.txt"
 
@@ -67,7 +67,7 @@ def _rand_val(rng, frame, prop_names, nom_names):
     props = {v: {w for w in frame.worlds if rng.random() < 0.5}
              for v in prop_names}
     noms = {n: rng.randrange(frame.n) for n in nom_names}
-    return Valuation.make(props, noms)
+    return valuation(props, noms)
 
 
 def _rand_base(rng, depth):
@@ -96,7 +96,7 @@ def test_criterion_1_formula_translation(capsys):
             f = _rand_base(rng, 3)
             w = rng.randrange(frame.n)
             direct = satisfies_at(frame, val, w, f)
-            fo = eval_fo(frame, val.with_nom("x", w), translate_formula(f))
+            fo = eval_fo(frame, {**val, "x": w}, translate_formula(f))
             assert direct == fo, (frame, val, w, f)
     _report(capsys, "criterion 1 (formula translation, 1000 random triples)",
             10.0, run)
@@ -186,8 +186,8 @@ def _all_vals(frame, prop_names, nom_names):
                for c in itertools.combinations(worlds, k)]
     for pv in itertools.product(subsets, repeat=len(prop_names)):
         for nv in itertools.product(worlds, repeat=len(nom_names)):
-            yield Valuation.make(dict(zip(prop_names, pv)),
-                                 dict(zip(nom_names, nv)))
+            yield valuation(dict(zip(prop_names, pv)),
+                            dict(zip(nom_names, nv)))
 
 
 def _rule_equiv(premises, conclusions, fresh=(), prop_names=("p", "q"),
@@ -200,9 +200,7 @@ def _rule_equiv(premises, conclusions, fresh=(), prop_names=("p", "q"),
             lhs = all(eval_statement(frame, val, s) for s in premises)
             rhs = False
             for picks in itertools.product(worlds, repeat=len(fresh)):
-                v2 = val
-                for name, w in zip(fresh, picks):
-                    v2 = v2.with_nom(name, w)
+                v2 = {**val, **dict(zip(fresh, picks))}
                 if all(eval_statement(frame, v2, s) for s in conclusions):
                     rhs = True
                     break
@@ -365,9 +363,7 @@ def test_criterion_3_per_rule_soundness(capsys):
                     lhs = any(
                         all(eval_statement(
                             frame,
-                            Valuation(
-                                {**val.props,
-                                 var: sum(1 << w for w in choice)}, val.noms),
+                            {**val, var: sum(1 << w for w in choice)},
                             s) for s in with_p)
                         for choice in subsets)
                     rhs = all(eval_statement(frame, val, s)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sabcorr import cli
+from sabcorr import cli, fol
 from sabcorr.cli import load_corpus, main
 from sabcorr.syntax import _SYMBOLS, Box, Dia, Prop, parse_inequality
 from sabcorr.semantics import Ineq, closure, enumerate_frames, frame_valid
@@ -165,6 +165,23 @@ def test_verify_checks_the_simplified_sentence(monkeypatch, capsys):
     assert main(["verify", "--formula", text, "--max-worlds", "2"]) == 0
     assert "PASS over 18 frames" in capsys.readouterr().out
     assert [emit_fo(s) for s in checked] == ["true"]
+
+
+def test_verify_compiles_its_sentence_once_per_command(monkeypatch, capsys):
+    # the compiled form lives on the sentence, which one command builds:
+    # one compilation serves every frame, and none outlives the command
+    made = []
+
+    class CountingSlots(fol._Slots):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+    monkeypatch.setattr(fol, "_Slots", CountingSlots)
+    for runs in (1, 2):
+        assert main(["verify", "--formula", "[]p -> p",
+                     "--max-worlds", "3"]) == 0
+        assert "PASS over 530 frames" in capsys.readouterr().out
+        assert len(made) == runs
 
 
 def test_orbit_weighted_counts_match_labelled_counts():

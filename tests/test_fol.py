@@ -13,7 +13,7 @@ from sabcorr.syntax import (
     parse_inequality,
 )
 from sabcorr.semantics import (
-    Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq, Valuation,
+    Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq,
     closure as close_statement, frame_valid, statement_props,
 )
 from sabcorr.alba import AlbaSuccess, run_alba
@@ -100,7 +100,7 @@ def test_st_quasi():
 def test_eval_fo_basics():
     empty = KripkeFrame(1, frozenset())
     loop = KripkeFrame(1, frozenset({(0, 0)}))
-    v = Valuation.make({}, {})
+    v = {}
     assert eval_fo(empty, v, FOForall("x", Eq("x", "x")))
     f = FOExists("y0", FOExists("y1", Rel("y0", "y1")))
     assert not eval_fo(empty, v, f)
@@ -112,10 +112,10 @@ def test_eval_fo_basics():
 
 def test_eval_fo_reads_nominals_from_valuation():
     loop = KripkeFrame(1, frozenset({(0, 0)}))
-    v = Valuation.make({}, {"i1": 0})
+    v = {"i1": 0}
     assert eval_fo(loop, v, Rel("i1", "i1"))
     with pytest.raises(FOEvalError):
-        eval_fo(loop, Valuation.make({}, {}), Rel("i9", "i9"))
+        eval_fo(loop, {}, Rel("i9", "i9"))
 
 
 HAND_WRITTEN = [
@@ -210,9 +210,17 @@ def test_fo_equiv_on_small_frames():
     assert not fo_equiv_on_small_frames(refl, some, max_n=2)
 
 
+def test_eval_fo_leaves_the_valuation_alone():
+    loop = KripkeFrame(2, frozenset({(0, 0), (1, 0)}))
+    val = {"i1": 0, "p": 0b01}
+    f = FOForall("x", FOImp(Pred("p", "x"), FOExists("y", Rel("y", "i1"))))
+    assert eval_fo(loop, val, f)
+    assert val == {"i1": 0, "p": 0b01}
+
+
 def test_empty_connectives():
     f = KripkeFrame(1, frozenset())
-    v = Valuation.make({}, {})
+    v = {}
     assert eval_fo(f, v, fo_and([]))
     assert not eval_fo(f, v, FOOr(()))
     assert fo_and([Eq("x", "x")]) == Eq("x", "x")

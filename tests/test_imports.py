@@ -1,9 +1,10 @@
-"""Every imported name is read somewhere in its module, and every
-module-level function and class of the package is read somewhere in the
-package or the tests.
+"""Every imported name is read somewhere in its module, every module-level
+function and class of the package is read somewhere in the package or the
+tests, and no module-level function of the package keeps a process-wide
+cache.
 
-No linter ships with the project, so these scans keep unused imports and
-dead definitions out of the package and the tests."""
+No linter ships with the project, so these scans keep unused imports,
+dead definitions and caches that outlive a command out of the code."""
 
 import ast
 from pathlib import Path
@@ -89,3 +90,39 @@ def test_no_dead_definitions():
     readers = [path.read_text(encoding="utf-8") for path in MODULES
                if path not in PACKAGE]
     assert dead_definitions(package, readers) == []
+
+
+def cached_functions(source: str) -> list:
+    """(line, name) for each module-level function of `source` decorated
+    with functools.lru_cache or functools.cache, called or bare, reached
+    through the module or imported by name.  Such a cache lives as long as
+    the process, so it outlives the command that filled it."""
+    out = []
+    for stmt in ast.parse(source).body:
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in stmt.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = (target.attr if isinstance(target, ast.Attribute)
+                    else getattr(target, "id", None))
+            if name in ("lru_cache", "cache"):
+                out.append((stmt.lineno, stmt.name))
+    return out
+
+
+def test_scan_finds_a_process_wide_cache():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "@functools.lru_cache(maxsize=8)\ndef a():\n    pass\n"
+              "@lru_cache\ndef b():\n    pass\n"
+              "@cache\ndef c():\n    pass\n"
+              "@functools.cache\ndef d():\n    pass\n"
+              "@functools.wraps(d)\ndef e():\n    pass\n"
+              "class K:\n    @functools.cached_property\n"
+              "    def f(self):\n        pass\n")
+    assert cached_functions(source) == [(4, "a"), (7, "b"), (10, "c"),
+                                        (13, "d")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_process_wide_caches(path):
+    assert cached_functions(path.read_text(encoding="utf-8")) == []

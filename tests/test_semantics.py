@@ -16,13 +16,13 @@ from sabcorr.syntax import (
 )
 from sabcorr.semantics import (
     EvalError, Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq,
-    Valuation, closure, edges_of, enumerate_frames, eval_statement,
+    closure, edges_of, enumerate_frames, eval_statement,
     extension, frame_valid, STATEMENTS, Statement, map_formulas,
     print_statement, satisfies, statement_nominals, statement_props,
     valuations,
 )
 
-from frames import labelled_frames
+from frames import labelled_frames, valuation
 
 p, q = Prop("p"), Prop("q")
 
@@ -127,13 +127,14 @@ def _valuations(frame, prop_names=("p", "q"), nom_names=("i1", "i2")):
     worlds = list(frame.worlds)
     for pv in itertools.product(_subsets(worlds), repeat=len(prop_names)):
         for nv in itertools.product(worlds, repeat=len(nom_names)):
-            yield Valuation.make(dict(zip(prop_names, pv)),
-                                 dict(zip(nom_names, nv)))
+            yield valuation(dict(zip(prop_names, pv)),
+                            dict(zip(nom_names, nv)))
 
 
 def _oracle_world_sets(val, worlds):
-    return ({k: {w for w in worlds if m >> w & 1}
-             for k, m in val.props.items()}, dict(val.noms))
+    # _valuations binds the propositions p and q; the other names are nominals
+    props = {k: {w for w in worlds if val[k] >> w & 1} for k in "pq"}
+    return props, {k: w for k, w in val.items() if k not in props}
 
 
 def test_satisfies_matches_oracle_exhaustively():
@@ -181,10 +182,10 @@ def test_ineq_with_edge_labels_matches_oracle():
 def test_satisfies_examples():
     loop = KripkeFrame(1, frozenset({(0, 0)}))
     empty = KripkeFrame(1, frozenset())
-    v = Valuation.make({}, {})
+    v = {}
     assert satisfies(loop, v, frozenset(), 0, SDia(Top()))
     assert satisfies(empty, v, frozenset(), 0, SBox(Bot()))
-    v2 = Valuation.make({}, {"i1": 0, "i2": 0})
+    v2 = {"i1": 0, "i2": 0}
     assert not satisfies(loop, v2, frozenset(), 0,
                          LDia(frozenset({("i1", "i2")}), Top()))
 
@@ -192,7 +193,7 @@ def test_satisfies_examples():
 def test_uninterpreted_nominal_raises():
     f = KripkeFrame(1, frozenset())
     with pytest.raises(EvalError):
-        satisfies(f, Valuation.make({}, {}), frozenset(), 0, Nom("i9"))
+        satisfies(f, {}, frozenset(), 0, Nom("i9"))
 
 
 @pytest.mark.parametrize("f", [
@@ -208,9 +209,9 @@ def test_unbound_nominal_raises_where_a_pointwise_reading_skipped_it(f):
     # frame_valid are closed
     empty = KripkeFrame(1, frozenset())
     with pytest.raises(EvalError):
-        satisfies(empty, Valuation.make({}, {}), frozenset(), 0, f)
+        satisfies(empty, {}, frozenset(), 0, f)
     with pytest.raises(EvalError):
-        eval_statement(empty, Valuation.make({}, {}), Ineq(Top(), f))
+        eval_statement(empty, {}, Ineq(Top(), f))
 
 
 def test_frame_validation():
@@ -225,15 +226,14 @@ def test_frame_validation():
 
 def test_eval_statement_examples():
     for frame in _frames(2):
-        assert eval_statement(frame, Valuation.make({}, {}),
-                              Ineq(Bot(), Top()))
+        assert eval_statement(frame, {}, Ineq(Bot(), Top()))
     frame = KripkeFrame(2, frozenset({(0, 1)}))
-    val = Valuation.make({}, {"i": 0, "j": 1})
+    val = {"i": 0, "j": 1}
     assert eval_statement(frame, val,
                           Ineq(Nom("i"), LDia(EMPTY_EDGES, Nom("j"))))
     loop = KripkeFrame(1, frozenset({(0, 0)}))
     mg = MegaGuard("i", "j", EMPTY_EDGES, Ineq(Nom("i"), Nom("j")))
-    assert eval_statement(loop, Valuation.make({}, {}), mg)
+    assert eval_statement(loop, {}, mg)
 
 
 def test_inequality_proposition_bullets():
@@ -242,7 +242,7 @@ def test_inequality_proposition_bullets():
     s_label = frozenset({("i1", "i2")})
     for frame in _frames(2):
         for val in _valuations(frame):
-            pair = (val.nom("i1"), val.nom("i2"))
+            pair = (val["i1"], val["i2"])
             in_reduced = pair in (frame.r0 - edges_of(val, s_label))
             # (a) i <=^S_S dia^S j iff the pair is in r0 minus S
             ineq_a = Ineq(Nom("i1"), LDia(s_label, Nom("i2")),
@@ -256,12 +256,12 @@ def test_inequality_proposition_bullets():
                 ineq_b = Ineq(Nom("i1"), alpha, EMPTY_EDGES, s_label)
                 deleted = edges_of(val, s_label) & frame.r0
                 assert eval_statement(frame, val, ineq_b) == \
-                    satisfies(frame, val, deleted, val.nom("i1"), alpha)
+                    satisfies(frame, val, deleted, val["i1"], alpha)
 
 
 def test_uq_and_quasi():
     frame = KripkeFrame(2, frozenset({(0, 1), (1, 0)}))
-    val = Valuation.make({}, {})
+    val = {}
     uq = UQIneq(("i1",), Ineq(Nom("i1"), Dia(Top())))
     assert eval_statement(frame, val, uq)
     one_way = KripkeFrame(2, frozenset({(0, 1)}))
@@ -323,10 +323,35 @@ def test_frame_valid_closes_nominals_universally():
     assert not frame_valid(two, closure(s))  # i1 = 1 has no successor
 
 
+def test_binding_leaves_the_callers_valuation_alone():
+    # a valuation is a mutable dict: each binding must build a new one
+    frame = KripkeFrame(2, frozenset({(0, 1), (1, 0)}))
+    val = {"p": 0b01, "i1": 1}
+    before = dict(val)
+    body = Ineq(Nom("i2"), Dia(Top()))
+    assert eval_statement(frame, val, UQIneq(("i2", "i3"), body))
+    assert eval_statement(frame, val, MegaGuard("i2", "i3", EMPTY_EDGES, body))
+    assert extension(frame, val, frozenset(),
+                     ExistsNom("i2", And(Nom("i2"), p))) == 0b01
+    assert extension(frame, val, frozenset(),
+                     ForallNom("i2", Or(Nom("i2"), Top()))) == frame.full
+    assert val == before
+
+
+def test_valuations_are_fresh_dicts():
+    frame = KripkeFrame(1, frozenset())
+    vals = list(valuations(frame, ["p"]))
+    assert vals == [{"p": 0}, {"p": 1}]
+    vals[0]["i1"] = 0
+    assert list(valuations(frame, ["p"])) == [{"p": 0}, {"p": 1}]
+    vals = list(valuations(frame, ["p", "q"]))
+    assert len({id(v) for v in vals}) == 4
+
+
 def test_valuations_count_and_mask_order():
     frame = KripkeFrame(2, frozenset())
     subsets = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
-    got = [tuple(frozenset(w for w in frame.worlds if v.props[k] >> w & 1)
+    got = [tuple(frozenset(w for w in frame.worlds if v[k] >> w & 1)
                  for k in "pq") for v in valuations(frame, ["p", "q"])]
     assert got == list(itertools.product(subsets, repeat=2))
     for n in (1, 2, 3):
@@ -334,7 +359,7 @@ def test_valuations_count_and_mask_order():
         for k in (0, 1, 2):
             vals = list(valuations(frame, ["p", "q"][:k]))
             assert len(vals) == 2 ** (n * k)
-            assert all(v.noms == {} for v in vals)
+            assert all(list(v) == ["p", "q"][:k] for v in vals)
 
 
 def _edge_mask(n, edges):
@@ -410,8 +435,8 @@ def test_monotonicity():
             for big in subsets:
                 if not small <= big:
                     continue
-                v_small = Valuation.make({"p": small, "q": {0}}, {})
-                v_big = Valuation.make({"p": big, "q": {0}}, {})
+                v_small = valuation({"p": small, "q": {0}})
+                v_big = valuation({"p": big, "q": {0}})
                 for f in pos:
                     for w in worlds:
                         if satisfies(frame, v_small, frozenset(), w, f):
