@@ -190,10 +190,6 @@ def st_formula(f: Formula, x: str, e: tuple, gen: _VarGen) -> FOFormula:
     return out
 
 
-def translate_formula(f: Formula, x: str = "x", e: tuple = ()) -> FOFormula:
-    return st_formula(f, x, e, _VarGen())
-
-
 def _st_statement(s: Statement, gen: _VarGen) -> FOFormula:
     if isinstance(s, Ineq):
         return FOForall("x", FOImp(
@@ -381,15 +377,6 @@ def free_names(f: FOFormula) -> frozenset:
         out |= free_names(g)
     if isinstance(f, (FOForall, FOExists)):
         out -= {f.var}
-    return out
-
-
-def pred_names(f: FOFormula) -> frozenset:
-    if isinstance(f, Pred):
-        return frozenset({f.name})
-    out = frozenset()
-    for g in _fo_children(f):
-        out |= pred_names(g)
     return out
 
 

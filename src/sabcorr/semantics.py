@@ -63,6 +63,8 @@ def nominal(val: dict, name: str) -> int:
 
 
 def edges_of(val: dict, s: EdgeLabelSet) -> frozenset:
+    if not s:
+        return EMPTY_EDGES
     return frozenset((nominal(val, a), nominal(val, b)) for a, b in s)
 
 
@@ -81,7 +83,8 @@ def _pre(pairs, mask: int) -> int:
 # and complements the union, since forall is not exists not.
 RANGES = {
     "succ": lambda frame, val, deleted, f, flip: (_pre(
-        frame.r0 - deleted, extension(frame, val, deleted, f.child) ^ flip),),
+        frame.r0 - deleted if deleted else frame.r0,
+        extension(frame, val, deleted, f.child) ^ flip),),
     "edge": lambda frame, val, deleted, f, flip: (
         extension(frame, val, deleted | {e}, f.child) ^ flip
         for e in frame.r0 - deleted),
@@ -138,11 +141,6 @@ def extension(frame: KripkeFrame, val: dict, deleted: frozenset,
     """The bit mask of the worlds where f holds, the edges in deleted taken
     out of the current relation."""
     return _EXTENSION[type(f)](frame, val, deleted, f)
-
-
-def satisfies(frame: KripkeFrame, val: dict, deleted: frozenset,
-              w: int, f: Formula) -> bool:
-    return bool(extension(frame, val, deleted, f) >> w & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +271,26 @@ def frame_valid(frame: KripkeFrame, s: Statement, vars=None) -> bool:
                for val in valuations(frame, vars))
 
 
-def _relabellings(n: int):
-    """Per permutation pi of the worlds, one (source shift, target shift,
-    column table) per row: row i of an edge mask moves to row pi(i), and
-    the table maps its column bits to their images under pi."""
+def _subset_sums(units, zero):
+    """Per mask m of len(units) bits, the sum of units[k] over the set bits
+    k of m, each entry filled from the one without its lowest set bit.  The
+    units are tuples to concatenate or ints with no bit in common."""
+    out = [zero] * (1 << len(units))
+    for m in range(1, len(out)):
+        low = m & -m
+        out[m] = out[m ^ low] + units[low.bit_length() - 1]
+    return out
+
+
+def _relabellings(n: int, h: int):
+    """Per permutation pi of the worlds, two tables that map the low h bits
+    and the remaining high bits of an edge mask to their images under pi,
+    which sends cell (i,j) to (pi(i),pi(j)); a mask's image is the union of
+    its halves' images."""
     out = []
     for pi in itertools.permutations(range(n)):
-        cols = [sum(1 << pi[j] for j in range(n) if row >> j & 1)
-                for row in range(1 << n)]
-        out.append([(i * n, pi[i] * n, cols) for i in range(n)])
+        image = [1 << (pi[k // n] * n + pi[k % n]) for k in range(n * n)]
+        out.append((_subset_sums(image[:h], 0), _subset_sums(image[h:], 0)))
     return out
 
 
@@ -296,25 +305,27 @@ def enumerate_frames(n: int):
     if not 1 <= n <= FRAME_CAP:
         msg = f"world count {n} outside 1..{FRAME_CAP}"
         raise ValueError(msg)
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    row_mask = (1 << n) - 1
-    relabellings = _relabellings(n)
+    # the tables are indexed by the low h bits of a mask or by the rest;
+    # they are built per call, since a kept table would outlive the command
+    h = (n * n + 1) // 2
+    low_half = (1 << h) - 1
+    cells = [((i, j),) for i in range(n) for j in range(n)]
+    edges_low, edges_high = (_subset_sums(cells[:h], ()),
+                             _subset_sums(cells[h:], ()))
+    relabellings = _relabellings(n, h)
     # a class is marked seen when its first member is met, and masks are
     # met in ascending order, so that first member is its least
     seen = bytearray(1 << (n * n))
-    for mask in range(1 << (n * n)):
-        if seen[mask]:
-            continue
-        orbit = set()
-        for rows in relabellings:
-            image = 0
-            for src, dst, cols in rows:
-                image |= cols[mask >> src & row_mask] << dst
-            orbit.add(image)
+    mask = 0
+    while mask >= 0:
+        lo, hi = mask & low_half, mask >> h
+        orbit = {table_lo[lo] | table_hi[hi]
+                 for table_lo, table_hi in relabellings}
         for image in orbit:
             seen[image] = 1
-        edges = frozenset(cells[k] for k in range(n * n) if mask >> k & 1)
-        yield KripkeFrame(n, edges), len(orbit)
+        yield (KripkeFrame(n, frozenset(edges_low[lo] + edges_high[hi])),
+               len(orbit))
+        mask = seen.find(0, mask + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,28 @@
 """Semantic equivalence of first-order formulas on small frames, for tests
-that compare a correspondent with a textbook condition."""
+that compare a correspondent with a textbook condition; the predicates of a
+formula; and the standard translation of one modal formula."""
 
 import itertools
 
 from sabcorr.semantics import valuations
-from sabcorr.fol import eval_fo, free_names, pred_names
+from sabcorr.fol import (
+    Pred, eval_fo, free_names, st_formula, _fo_children, _VarGen,
+)
 
 from frames import labelled_frames
+
+
+def pred_names(f):
+    """The predicate names of an FO formula."""
+    if isinstance(f, Pred):
+        return frozenset({f.name})
+    return frozenset().union(*map(pred_names, _fo_children(f)))
+
+
+def translate_formula(f, x="x", e=()):
+    """The standard translation of the modal formula f at the point x, the
+    label pairs in e deleted from the relation."""
+    return st_formula(f, x, e, _VarGen())
 
 
 def fo_equiv_on_small_frames(f1, f2, max_n=3, vars=()):

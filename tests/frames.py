@@ -1,8 +1,8 @@
 """Every labelled frame, for tests that need them all and as the reference
 for `semantics.enumerate_frames`, which yields one frame per isomorphism
-class; and valuations built from world sets."""
+class; valuations built from world sets; and truth at one world."""
 
-from sabcorr.semantics import FRAME_CAP, KripkeFrame
+from sabcorr.semantics import FRAME_CAP, KripkeFrame, extension
 
 
 def labelled_frames(n):
@@ -23,3 +23,9 @@ def valuation(props=None, noms=None):
     from each nominal to its world."""
     masks = {k: sum(1 << w for w in set(v)) for k, v in (props or {}).items()}
     return {**masks, **(noms or {})}
+
+
+def satisfies(frame, val, deleted, w, f):
+    """Whether f holds at world w with the edges in deleted removed: bit w
+    of `semantics.extension`."""
+    return bool(extension(frame, val, deleted, f) >> w & 1)

@@ -27,12 +27,12 @@ from sabcorr.alba import (
 )
 from sabcorr.fol import (
     FOExists, FOForall, Rel, closure, correspondent, emit_fo, eval_fo,
-    free_names, holds_on_frame, simplify, st_statement, translate_formula,
+    free_names, holds_on_frame, simplify, st_statement,
 )
 from sabcorr.cli import load_corpus
 
-from fo_equiv import fo_equiv_on_small_frames
-from frames import labelled_frames, valuation
+from fo_equiv import fo_equiv_on_small_frames, translate_formula
+from frames import labelled_frames, satisfies, valuation
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sahlqvist.txt"
 
@@ -95,16 +95,11 @@ def test_criterion_1_formula_translation(capsys):
             val = _rand_val(rng, frame, ("p", "q"), ())
             f = _rand_base(rng, 3)
             w = rng.randrange(frame.n)
-            direct = satisfies_at(frame, val, w, f)
+            direct = satisfies(frame, val, frozenset(), w, f)
             fo = eval_fo(frame, {**val, "x": w}, translate_formula(f))
             assert direct == fo, (frame, val, w, f)
     _report(capsys, "criterion 1 (formula translation, 1000 random triples)",
             10.0, run)
-
-
-def satisfies_at(frame, val, w, f):
-    from sabcorr.semantics import satisfies
-    return satisfies(frame, val, frozenset(), w, f)
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +211,8 @@ def _formula_equiv(f, g, deleted_too=True):
                         for c in itertools.combinations(frame.r0, k)]
             for dele in dels:
                 for w in frame.worlds:
-                    assert satisfies_at_deleted(frame, val, dele, w, f) == \
-                        satisfies_at_deleted(frame, val, dele, w, g)
-
-
-def satisfies_at_deleted(frame, val, dele, w, f):
-    from sabcorr.semantics import satisfies
-    return satisfies(frame, val, dele, w, f)
+                    assert satisfies(frame, val, dele, w, f) == \
+                        satisfies(frame, val, dele, w, g)
 
 
 S1 = frozenset({("i8", "i9")})

@@ -1,10 +1,11 @@
 """Every imported name is read somewhere in its module, every module-level
 function and class of the package is read somewhere in the package or the
-tests, and no module-level function of the package keeps a process-wide
-cache.
+tests, only the listed ones are read by the tests alone, and no
+module-level function of the package keeps a process-wide cache.
 
 No linter ships with the project, so these scans keep unused imports,
-dead definitions and caches that outlive a command out of the code."""
+dead definitions, test-only helpers and caches that outlive a command out
+of the code."""
 
 import ast
 from pathlib import Path
@@ -90,6 +91,71 @@ def test_no_dead_definitions():
     readers = [path.read_text(encoding="utf-8") for path in MODULES
                if path not in PACKAGE]
     assert dead_definitions(package, readers) == []
+
+
+def _qualified_reads(module: str, node) -> set:
+    """(module, name) pairs read under node, in the source of `module`:
+    each bare name read, and each name imported from another module by
+    `from .m import name` or `from sabcorr.m import name`, under an alias
+    too.  An attribute read, `x.name`, may be on any module, so it reads
+    (None, name)."""
+    reads = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            reads.add((module, n.id))
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            reads.add((None, n.attr))
+        elif isinstance(n, ast.ImportFrom) and n.module:
+            reads |= {(n.module.split(".")[-1], alias.name)
+                      for alias in n.names}
+    return reads
+
+
+def read_only_by_tests(package: dict, readers: dict) -> list:
+    """(module, name) for each module-level function or class of the
+    `package` sources (module name -> source) that neither the package nor
+    the `readers` (module name -> source) read; bare names and imports are
+    matched by module.  A definition reading itself does not count."""
+    defined, read = [], set()
+    for module, source in readers.items():
+        read |= _qualified_reads(module, ast.parse(source))
+    for module, source in package.items():
+        for stmt in ast.parse(source).body:
+            reads = _qualified_reads(module, stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.append((module, stmt.name))
+                reads.discard((module, stmt.name))
+            read |= reads
+    return sorted((module, name) for module, name in defined
+                  if (module, name) not in read and (None, name) not in read)
+
+
+# Definitions only tests read, each kept on purpose.
+READ_ONLY_BY_TESTS = {
+    ("fol", "closure"): "the reference the simplify tests check against",
+}
+
+
+def test_scan_finds_a_definition_only_tests_read():
+    package = {"a": "def used():\n    return helper()\n"
+                    "def helper():\n    return 1\n"
+                    "def loop(n):\n    return loop(n - 1)\n"
+                    "def closure():\n    pass\n"
+                    "def method():\n    pass\n",
+               "b": "def closure():\n    pass\n"}
+    readers = {"run": "from a import used\n"
+                      "from .b import closure as close\n"
+                      "used(close)\nmods['a'].method()\n"}
+    assert read_only_by_tests(package, readers) == [("a", "closure"),
+                                                    ("a", "loop")]
+
+
+def test_no_definitions_only_tests_read():
+    package = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    readers = {path.stem: path.read_text(encoding="utf-8")
+               for path in (ROOT / "bench").glob("*.py")}
+    assert read_only_by_tests(package, readers) == sorted(READ_ONLY_BY_TESTS)
 
 
 def cached_functions(source: str) -> list:

@@ -18,11 +18,10 @@ from sabcorr.semantics import (
     EvalError, Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq,
     closure, edges_of, enumerate_frames, eval_statement,
     extension, frame_valid, STATEMENTS, Statement, map_formulas,
-    print_statement, satisfies, statement_nominals, statement_props,
-    valuations,
+    print_statement, statement_nominals, statement_props, valuations,
 )
 
-from frames import labelled_frames, valuation
+from frames import labelled_frames, satisfies, valuation
 
 p, q = Prop("p"), Prop("q")
 
@@ -395,6 +394,28 @@ def test_enumerate_frames():
         list(enumerate_frames(5))
     with pytest.raises(ValueError):
         list(enumerate_frames(0))
+
+
+def test_enumerate_frames_four_worlds_by_relabelling_edge_sets():
+    # each class drawn again by relabelling the representative's edge set
+    # under all 24 permutations, with no mask table
+    n = 4
+    perms = list(itertools.permutations(range(n)))
+    covered = set()
+    for frame, orbit in enumerate_frames(n):
+        cls = {_edge_mask(n, {(pi[a], pi[b]) for a, b in frame.r0})
+               for pi in perms}
+        assert _edge_mask(n, frame.r0) == min(cls), frame
+        assert orbit == len(cls), frame
+        assert covered.isdisjoint(cls), frame
+        covered |= cls
+    assert covered == set(range(1 << (n * n)))
+
+
+def test_edges_of_the_empty_label_set():
+    assert edges_of({}, EMPTY_EDGES) == frozenset()
+    with pytest.raises(EvalError):
+        edges_of({}, frozenset({("i0", "i1")}))
 
 
 # ---------------------------------------------------------------------------
