@@ -9,14 +9,15 @@ which keeps the statements themselves and prints them only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 
 from .syntax import (
     And, Bot, Box, Dia, ExistsNom, ForallNom, Formula, GBox, Imp, InvLBox,
     InvLDia, LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top,
     CONNECTIVES, EMPTY_EDGES, FreshNominals, _rebuild, all_names_of, children,
-    eliminate_iff, is_context_free, is_pure, occurrence_signs, polarity,
-    props_of, substitute_prop,
+    eliminate_iff, is_fixed, occurrence_signs, polarity, props_of,
+    substitute_prop,
 )
 from .semantics import (
     Ineq, MegaGuard, QuasiUQ, Statement, UQIneq, map_formulas,
@@ -80,9 +81,7 @@ class WorkItem:
 
 
 def _mk(guards: tuple, ineq: Ineq, active: str) -> WorkItem:
-    if (not guards
-            and is_pure(ineq.lhs) and is_pure(ineq.rhs)
-            and is_context_free(ineq.lhs) and is_context_free(ineq.rhs)):
+    if not guards and is_fixed(ineq.lhs) and is_fixed(ineq.rhs):
         active = "none"
     return WorkItem(guards, ineq, active)
 
@@ -140,6 +139,10 @@ def distribute(f: Formula, sign: str) -> Formula:
     return f
 
 
+# The unit and the zero of each binary boolean node.
+_UNIT_ZERO = {And: (Top, Bot), Or: (Bot, Top)}
+
+
 def _simplify_bool(f: Formula) -> Formula:
     kids = tuple(_simplify_bool(c) for c in children(f))
     f = _rebuild(f, kids)
@@ -148,21 +151,30 @@ def _simplify_bool(f: Formula) -> Formula:
             return Top()
         if isinstance(f.child, Top):
             return Bot()
-    if isinstance(f, And):
-        if isinstance(f.left, Bot) or isinstance(f.right, Bot):
-            return Bot()
-        if isinstance(f.left, Top):
+    if type(f) in _UNIT_ZERO:
+        unit, zero = _UNIT_ZERO[type(f)]
+        if isinstance(f.left, zero) or isinstance(f.right, zero):
+            return zero()
+        if isinstance(f.left, unit):
             return f.right
-        if isinstance(f.right, Top):
-            return f.left
-    if isinstance(f, Or):
-        if isinstance(f.left, Top) or isinstance(f.right, Top):
-            return Top()
-        if isinstance(f.left, Bot):
-            return f.right
-        if isinstance(f.right, Bot):
+        if isinstance(f.right, unit):
             return f.left
     return f
+
+
+# Each side of an inequality read at its sign, so that a split is at the
+# side's JOIN: +or on the left, -and on the right.
+_SIDE_SIGN = {"lhs": "+", "rhs": "-"}
+
+
+def split(q: Ineq, side: str):
+    """Split q at the join of its `side` ('lhs' or 'rhs') into one
+    inequality per argument, keeping the edge labels; None if that side is
+    not a join."""
+    f = getattr(q, side)
+    if type(f) is not JOIN[_SIDE_SIGN[side]]:
+        return None
+    return [replace(q, **{side: half}) for half in (f.left, f.right)]
 
 
 def preprocess(ineq: Ineq, trace=None) -> list:
@@ -178,19 +190,11 @@ def preprocess(ineq: Ineq, trace=None) -> list:
             new = Ineq(dl, dr)
             record(trace, "preprocess", "distribute", [cur], [new])
             cur = new
-        if isinstance(cur.rhs, And):
-            a = Ineq(cur.lhs, cur.rhs.left)
-            b = Ineq(cur.lhs, cur.rhs.right)
-            record(trace, "preprocess", "split", [cur], [a, b])
-            pending[:0] = [a, b]
+        halves = split(cur, "rhs") or split(cur, "lhs")
+        if halves:
+            record(trace, "preprocess", "split", [cur], halves)
+            pending[:0] = halves
             continue
-        if isinstance(cur.lhs, Or):
-            a = Ineq(cur.lhs.left, cur.rhs)
-            b = Ineq(cur.lhs.right, cur.rhs)
-            record(trace, "preprocess", "split", [cur], [a, b])
-            pending[:0] = [a, b]
-            continue
-        eliminated = False
         for p in sorted(props_of(cur.lhs) & props_of(cur.rhs)):
             signs = set(occurrence_signs(cur.lhs, p, "+"))
             signs |= set(occurrence_signs(cur.rhs, p, "-"))
@@ -204,9 +208,8 @@ def preprocess(ineq: Ineq, trace=None) -> list:
                        _simplify_bool(substitute_prop(cur.rhs, p, repl)))
             record(trace, "preprocess", "eliminate-uniform", [cur], [new])
             pending.insert(0, new)
-            eliminated = True
             break
-        if not eliminated:
+        else:
             out.append(cur)
     return list(dict.fromkeys(out))
 
@@ -231,9 +234,6 @@ def _outer_step(item: WorkItem, gen: FreshNominals):
     s, s2 = q.sup, q.sub
     if item.active == "rhs":
         f = q.rhs
-        if isinstance(f, And):
-            return "split", [_mk(item.guards, Ineq(q.lhs, f.left, s, s2), "rhs"),
-                             _mk(item.guards, Ineq(q.lhs, f.right, s, s2), "rhs")]
         if isinstance(q.lhs, Nom):
             i = q.lhs
             if isinstance(f, Dia):
@@ -248,11 +248,8 @@ def _outer_step(item: WorkItem, gen: FreshNominals):
                     _mk((), Ineq(i, f.child, s, s2 | {(m0, m1)}), "rhs")]
             if isinstance(f, Not):
                 return "res-not", [_mk((), Ineq(f.child, Not(i), s2, s), "lhs")]
-    elif item.active == "lhs":
+    else:
         f = q.lhs
-        if isinstance(f, Or):
-            return "split", [_mk(item.guards, Ineq(f.left, q.rhs, s, s2), "lhs"),
-                             _mk(item.guards, Ineq(f.right, q.rhs, s, s2), "lhs")]
         if isinstance(q.rhs, Not) and isinstance(q.rhs.child, Nom):
             ni = q.rhs
             if isinstance(f, Box):
@@ -277,9 +274,16 @@ def _outer_step(item: WorkItem, gen: FreshNominals):
     return None
 
 
+def _split_item(item: WorkItem):
+    halves = split(item.ineq, item.active)
+    return halves and ("split", [_mk(item.guards, h, item.active)
+                                 for h in halves])
+
+
 def _rewrite(sys: System, step, stage: str) -> System:
-    """Replace the first active item that `step` rewrites by what it
-    produces, recording the rule, until no active item is rewritten.
+    """Replace the first active item that a split at its active side or
+    `step` rewrites by what it produces, recording the rule, until no
+    active item is rewritten.
 
     A step that returns None draws no nominal and items never change, so
     the items before a rewrite stay unrewritable and the scan goes on at
@@ -287,7 +291,8 @@ def _rewrite(sys: System, step, stage: str) -> System:
     idx = 0
     while idx < len(sys.items):
         item = sys.items[idx]
-        out = item.active != "none" and step(item, sys.gen)
+        out = item.active != "none" and (_split_item(item)
+                                         or step(item, sys.gen))
         if out:
             rule, new_items = out
             sys.items[idx:idx + 1] = new_items
@@ -327,9 +332,6 @@ def _inner_step(item: WorkItem, gen: FreshNominals):
     g = item.guards
     if item.active == "rhs":
         f = q.rhs
-        if isinstance(f, And):
-            return "split", [_mk(g, Ineq(q.lhs, f.left, s, s2), "rhs"),
-                             _mk(g, Ineq(q.lhs, f.right, s, s2), "rhs")]
         if isinstance(f, Not):
             return "res-not", [_mk(g, Ineq(f.child, Not(q.lhs), s2, s), "lhs")]
         if isinstance(f, Box):
@@ -342,9 +344,6 @@ def _inner_step(item: WorkItem, gen: FreshNominals):
                     Ineq(q.lhs, f.child, s, s2 | {(m0, m1)}), "rhs")]
     else:
         f = q.lhs
-        if isinstance(f, Or):
-            return "split", [_mk(g, Ineq(f.left, q.rhs, s, s2), "lhs"),
-                             _mk(g, Ineq(f.right, q.rhs, s, s2), "lhs")]
         if isinstance(f, Not):
             return "res-not", [_mk(g, Ineq(Not(q.rhs), f.child, s2, s), "rhs")]
         if isinstance(f, Dia):
@@ -405,7 +404,7 @@ def pack(sys: System) -> System:
                     for g in item.guards]
         binders = [n for g in item.guards for n in (g.m0, g.m1)]
         if isinstance(q.rhs, Prop) and eps.get(q.rhs.name) == "1":
-            if not (is_pure(q.lhs) and is_context_free(q.lhs)):
+            if not is_fixed(q.lhs):
                 raise StageError("substage 3",
                                  f"impure minimal bound in "
                                  f"{print_statement(item.statement())}")
@@ -415,7 +414,7 @@ def pack(sys: System) -> System:
             out: Statement = Ineq(form, q.rhs)
             rule = "pack-1"
         elif isinstance(q.lhs, Prop) and eps.get(q.lhs.name) == "d":
-            if not (is_pure(q.rhs) and is_context_free(q.rhs)):
+            if not is_fixed(q.rhs):
                 raise StageError("substage 3",
                                  f"impure maximal bound in "
                                  f"{print_statement(item.statement())}")
@@ -427,16 +426,12 @@ def pack(sys: System) -> System:
                 form = q.rhs
             out = Ineq(q.lhs, form)
             rule = "pack-2"
-        elif is_pure(q.lhs) and is_context_free(q.lhs):
+        elif (fixed_lhs := is_fixed(q.lhs)) or is_fixed(q.rhs):
+            # the deletion context of the side that is not fixed
             body = Ineq(Top(), Imp(_and_chain(guard_fs + [q.lhs]), q.rhs),
-                        EMPTY_EDGES, q.sub)
+                        EMPTY_EDGES, q.sub if fixed_lhs else q.sup)
             out = UQIneq(tuple(binders), body) if binders else body
-            rule = "pack-3"
-        elif is_pure(q.rhs) and is_context_free(q.rhs):
-            body = Ineq(Top(), Imp(_and_chain(guard_fs + [q.lhs]), q.rhs),
-                        EMPTY_EDGES, q.sup)
-            out = UQIneq(tuple(binders), body) if binders else body
-            rule = "pack-4"
+            rule = "pack-3" if fixed_lhs else "pack-4"
         else:
             raise StageError("substage 3",
                              f"head fails purity side condition in "
@@ -450,50 +445,44 @@ def pack(sys: System) -> System:
 # ---------------------------------------------------------------------------
 # substage 4: Ackermann elimination
 
-def _body_of(st: Statement) -> Ineq:
-    return st.body if isinstance(st, UQIneq) else st
+# Per handedness: the side where p stands alone, the side of its bound,
+# the join of the bounds and the join of none, and the polarity p may have,
+# besides absent, on the lhs and on the rhs of every other item.
+_ACKERMANN = {
+    "right": ("rhs", "lhs", Or, Bot, ("positive", "negative")),
+    "left": ("lhs", "rhs", And, Top, ("negative", "positive")),
+}
 
 
 def ackermann_eliminate(sys: System, p: str, handedness: str) -> System:
     """Eliminate p from the packed system.  Right-handed collects items
     alpha <= p and substitutes their join; left-handed is the dual."""
+    var_side, bound_side, join, empty, (ok_l, ok_r) = _ACKERMANN[handedness]
     alphas = []
     rest = []
     for st in sys.items:
-        if (handedness == "right" and isinstance(st, Ineq)
-                and st.rhs == Prop(p) and not st.sup and not st.sub):
-            alphas.append(st)
-        elif (handedness == "left" and isinstance(st, Ineq)
-                and st.lhs == Prop(p) and not st.sup and not st.sub):
+        if (isinstance(st, Ineq) and getattr(st, var_side) == Prop(p)
+                and not st.sup and not st.sub):
             alphas.append(st)
         else:
             rest.append(st)
-    bounds = [(st.lhs if handedness == "right" else st.rhs) for st in alphas]
+    bounds = [getattr(st, bound_side) for st in alphas]
     for b in bounds:
-        if not (is_pure(b) and is_context_free(b)):
+        if not is_fixed(b):
             raise StageError(
                 "substage 4", f"bound {print_statement(Ineq(b, Prop(p)))} "
                 f"is not pure and context-free")
-    if bounds:
-        repl = bounds[0]
-        for b in bounds[1:]:
-            repl = Or(repl, b) if handedness == "right" else And(repl, b)
-    else:
-        repl = Bot() if handedness == "right" else Top()
+    repl = reduce(join, bounds) if bounds else empty()
     new_items = []
     changed_from = []
     changed_to = []
     for st in rest:
-        q = _body_of(st)
+        q = st.body if isinstance(st, UQIneq) else st
         pol_l, pol_r = polarity(q.lhs, p), polarity(q.rhs, p)
         if pol_l == pol_r == "absent":
             new_items.append(st)
             continue
-        if handedness == "right":
-            ok = pol_l in ("positive", "absent") and pol_r in ("negative", "absent")
-        else:
-            ok = pol_l in ("negative", "absent") and pol_r in ("positive", "absent")
-        if not ok:
+        if pol_l not in (ok_l, "absent") or pol_r not in (ok_r, "absent"):
             raise StageError(
                 "substage 4",
                 f"{p} occurs with the wrong polarity in {_show(st)}")

@@ -40,7 +40,7 @@ def _parse_ineq(args) -> Ineq:
 
 
 def _order_type(args):
-    if not getattr(args, "order_type", None):
+    if args.order_type is None:
         return None
     try:
         return parse_order_type(args.order_type)

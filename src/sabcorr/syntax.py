@@ -491,21 +491,15 @@ def all_names_of(f: Formula) -> frozenset:
     return frozenset(out)
 
 
-def is_pure(f: Formula) -> bool:
-    """A formula is pure iff it contains no propositional variables."""
-    return not props_of(f)
-
-
-def is_context_free(f: Formula) -> bool:
-    """True iff f contains none of the contextual connectives [] <> [!] <!>.
-
-    Such formulas are insensitive to the accumulated deletion context.
-    """
+def is_fixed(f: Formula) -> bool:
+    """True iff f is pure and context-free: it has no propositional
+    variable and none of the contextual connectives [] <> [!] <!>, so its
+    value depends neither on a valuation nor on the deletion context."""
     stack = [f]
     while stack:
         g = stack.pop()
         row = CONNECTIVES[type(g)]
-        if row.range in _CONTEXTUAL:
+        if row.cls is Prop or row.range in _CONTEXTUAL:
             return False
         stack.extend(row.children(g))
     return True

@@ -12,7 +12,7 @@ from pathlib import Path
 from sabcorr.syntax import (
     And, Bot, Box, Dia, ExistsNom, ForallNom, GBox, Imp, InvLBox,
     InvLDia, LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top, EMPTY_EDGES,
-    FreshNominals, is_context_free, is_pure, parse_inequality,
+    FreshNominals, is_fixed, parse_inequality,
 )
 from sabcorr.semantics import (
     Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq,
@@ -549,13 +549,14 @@ def test_criterion_8_stage_postconditions(capsys):
             for one in pre:
                 sys = first_approximation(one, gen, eps, i0, i1, [])
                 reduce_outer(sys)
-                # after substage 1: pure/parked, or nominal-headed with an
-                # inner-Sahlqvist active side (checked inside reduce_outer;
-                # re-checked structurally here)
+                # after substage 1: parked (pure and context-free), or
+                # nominal-headed with an inner-Sahlqvist active side
+                # (checked inside reduce_outer; re-checked structurally
+                # here)
                 for item in sys.items:
                     if item.active == "none":
-                        assert is_pure(item.ineq.lhs)
-                        assert is_pure(item.ineq.rhs)
+                        assert is_fixed(item.ineq.lhs)
+                        assert is_fixed(item.ineq.rhs)
                     elif item.active == "rhs":
                         assert isinstance(item.ineq.lhs, Nom)
                     else:
@@ -573,7 +574,7 @@ def test_criterion_8_stage_postconditions(capsys):
                              else item.ineq.rhs)
                     sign = "+" if item.active == "rhs" else "-"
                     if _is_critical_prop(head, sign, eps):
-                        assert is_pure(other) and is_context_free(other)
+                        assert is_fixed(other)
                     else:
                         assert not has_critical_occurrence(head, sign, eps)
                 pack(sys)
@@ -585,8 +586,7 @@ def test_criterion_8_stage_postconditions(capsys):
                         bound_side = body.rhs if h == "1" else body.lhs
                         if bound_side == Prop(v):
                             other = body.lhs if h == "1" else body.rhs
-                            assert is_pure(other)
-                            assert is_context_free(other)
+                            assert is_fixed(other)
                             assert not st.sup and not st.sub \
                                 if isinstance(st, Ineq) else True
     _report(capsys, "criterion 8 (stage postconditions on corpus inputs)",

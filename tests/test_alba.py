@@ -20,8 +20,10 @@ from sabcorr.alba import (
     WorkItem, ackermann_eliminate, distribute, first_approximation, pack,
     preprocess, reduce_inner, reduce_outer, run_alba, _mk,
 )
+from sabcorr.cli import load_corpus
 
 from frames import labelled_frames
+from test_golden import ROOT, _bench_module
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
@@ -429,23 +431,57 @@ def test_run_alba_preprocessing_to_constants():
 # ---------------------------------------------------------------------------
 # traces
 
+# Inputs of bench/gen.py drawn for the trace replay; their family a and b
+# members take about a second to replay.
+REPLAY_SAMPLE = 1500
+
+
+def _replay_inputs():
+    """The inequalities of the trace-replay test, each with whether ALBA
+    must succeed on it: the hand-picked inputs, the two of the newer
+    reference traces and the corpus entries must; the distinct family a
+    and b inputs of a bench/gen.py sample, seed 1, may fail."""
+    texts = ["<>p <= p", "[]p <= [!]p", "<!>[]p <= []<!>p",
+             "<>(p | q) <= <>p | <>q", "top <= <!>top",
+             "<!>[!](p & p) -> (~p | ((p | p) & ~bot))",
+             "[](top & q) -> (((top -> p) | (top & p)) -> p)"]
+    corpus = [iq for _, iq in load_corpus(ROOT / "corpus" / "sahlqvist.txt")]
+    inputs = dict.fromkeys(corpus + [ineq(t) for t in texts], True)
+    for family, _, text, *_ in _bench_module("gen").make_inputs(
+            1, REPLAY_SAMPLE):
+        if family != "c":
+            inputs.setdefault(ineq(text), False)
+    return inputs.items()
+
+
 def test_trace_replay():
-    for text in ["<>p <= p", "[]p <= [!]p", "<!>[]p <= []<!>p",
-                 "<>(p | q) <= <>p | <>q", "top <= <!>top"]:
-        src = ineq(text)
+    # each step consumes items of the current state and adds what it
+    # produces; a successful run ends at the premises of its quasis.
+    # preprocess keeps one copy of a repeated sub-problem and records no
+    # step for it, so the state is made a set when stage 1 ends.
+    successes = 0
+    for src, must_succeed in _replay_inputs():
         result = run_alba(src)
-        assert isinstance(result, AlbaSuccess)
+        assert isinstance(result, AlbaSuccess) or not must_succeed, src
         state = Counter([print_statement(src)])
+        preprocessing = True
         for step in result.trace:
+            if preprocessing and step.stage != "preprocess":
+                preprocessing = False
+                state = Counter(set(+state))
             for c in step.consumed:
-                assert state[c] > 0, (text, step)
+                assert state[c] > 0, (src, step)
                 state[c] -= 1
             for prod in step.produced:
                 state[prod] += 1
+        if isinstance(result, AlbaFailure):
+            continue
+        successes += 1
         final = Counter()
         for quasi in result.quasis:
             final.update(print_statement(s) for s in quasi.premises)
-        assert +state == +final, text
+        assert +state == +final, src
+    assert successes >= 1000
 
 
 def test_trace_is_printed_only_when_read(monkeypatch):

@@ -63,6 +63,26 @@ def test_classify_order_type_missing_a_variable(capsys):
     assert capsys.readouterr().out.startswith("not sahlqvist\n")
 
 
+@pytest.mark.parametrize("spec", ["", ","])
+def test_empty_order_type_is_an_override(spec, capsys):
+    # both spellings parse to {}, an override that covers no variable, so
+    # no automatic search runs
+    assert main(["correspond", "--formula", "[]p -> p",
+                 "--order-type", spec]) == 1
+    assert capsys.readouterr().out == \
+        "failure (classify): order type misses variables ['p']\n"
+    assert main(["classify", "--formula", "[]p -> p",
+                 "--order-type", spec]) == 1
+    assert capsys.readouterr().out.startswith("not sahlqvist\n")
+    assert main(["verify", "--formula", "[]p -> p",
+                 "--order-type", spec]) == 1
+    capsys.readouterr()
+    # an input without variables needs none
+    assert main(["correspond", "--formula", "top -> <!>top",
+                 "--order-type", spec]) == 0
+    assert capsys.readouterr().out.startswith("order type: (empty)\n")
+
+
 def test_classify_reports_the_iff_free_branches(capsys):
     # the verdict is decided on p -> []p and []p -> p, so the report lists
     # their branches, not those of a single iff node
@@ -104,7 +124,12 @@ def test_correspond_trace_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("formula, reference", [
-    ("<>p -> p", "dia-p.json"), ("<!>[]p -> []<!>p", "commute.json")])
+    ("<>p -> p", "dia-p.json"), ("<!>[]p -> []<!>p", "commute.json"),
+    # distribution, the three splits, uniform elimination, pack-3, pack-4
+    # and right-handed Ackermann
+    ("<!>[!](p & p) -> (~p | ((p | p) & ~bot))", "sabotage-split.json"),
+    # the automatic order type p=d, q=1: left-handed Ackermann
+    ("[](top & q) -> (((top -> p) | (top & p)) -> p)", "ackermann-left.json")])
 def test_correspond_trace_matches_reference(tmp_path, capsys, formula,
                                             reference):
     # the references come from a trace that printed every item when it was

@@ -8,8 +8,8 @@ from sabcorr.syntax import (
     And, Bot, Box, Dia, ExistsNom, ForallNom, GBox, Iff, Imp, InvLBox,
     InvLDia, LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top,
     CONNECTIVES, EMPTY_EDGES, PREFIX, Formula, FreshNominals, ParseError,
-    all_names_of, children, eliminate_iff, is_context_free, is_pure,
-    nominals_of, occurrence_signs, parse_formula, parse_inequality, polarity,
+    all_names_of, children, eliminate_iff, is_fixed, nominals_of,
+    occurrence_signs, parse_formula, parse_inequality, polarity,
     print_formula, props_of, signed_children, substitute_prop,
 )
 
@@ -162,20 +162,32 @@ def test_props_and_nominals():
 
 
 def test_classification_predicates():
-    assert is_pure(SDia(Nom("i1"))) and not is_pure(p)
-    assert is_context_free(Not(And(Nom("i1"), Top())))
-    assert not is_context_free(Dia(Top()))
-    assert not is_context_free(SDia(Top()))
-    assert is_context_free(LDia(EMPTY_EDGES, Top()))
-    assert is_context_free(LBox(frozenset({("i1", "i2")}), p))
-    assert is_context_free(InvLDia(EMPTY_EDGES, Nom("i1")))
-    assert is_context_free(InvLBox(EMPTY_EDGES, p))
-    assert is_context_free(GBox(Nom("i1")))
-    assert is_context_free(ForallNom("i1", LDia(frozenset({("i1", "i2")}),
-                                                 Nom("i1"))))
-    assert not is_context_free(GBox(Box(p)))
-    assert not is_context_free(InvLBox(EMPTY_EDGES, SBox(p)))
-    assert not is_context_free(ExistsNom("i1", Dia(Nom("i1"))))
+    # is_fixed: pure (no variable) and context-free (no [] <> [!] <!>)
+    s12 = frozenset({("i1", "i2")})
+    assert not is_fixed(SDia(Nom("i1"))) and not is_fixed(p)
+    assert is_fixed(Nom("i1")) and is_fixed(Top()) and is_fixed(Bot())
+    assert is_fixed(Not(And(Nom("i1"), Top())))
+    assert not is_fixed(Not(And(Nom("i1"), p)))
+    assert is_fixed(Or(Nom("i1"), Imp(Bot(), Iff(Nom("i2"), Top()))))
+    assert not is_fixed(Or(Nom("i1"), Imp(Bot(), Iff(Nom("i2"), q))))
+    assert not is_fixed(Dia(Top()))
+    assert not is_fixed(SDia(Top()))
+    assert not is_fixed(Box(Nom("i1"))) and not is_fixed(SBox(Nom("i1")))
+    assert is_fixed(LDia(EMPTY_EDGES, Top()))
+    assert not is_fixed(LDia(EMPTY_EDGES, p))
+    assert not is_fixed(LBox(s12, p)) and is_fixed(LBox(s12, Nom("i1")))
+    assert is_fixed(InvLDia(EMPTY_EDGES, Nom("i1")))
+    assert not is_fixed(InvLDia(EMPTY_EDGES, Dia(Nom("i1"))))
+    assert not is_fixed(InvLBox(EMPTY_EDGES, p))
+    assert is_fixed(InvLBox(EMPTY_EDGES, Nom("i2")))
+    assert is_fixed(GBox(Nom("i1")))
+    assert is_fixed(ForallNom("i1", LDia(s12, Nom("i1"))))
+    assert not is_fixed(ForallNom("i1", LDia(s12, p)))
+    assert not is_fixed(GBox(Box(p))) and not is_fixed(GBox(Box(Nom("i1"))))
+    assert not is_fixed(InvLBox(EMPTY_EDGES, SBox(p)))
+    assert not is_fixed(InvLBox(EMPTY_EDGES, SBox(Nom("i1"))))
+    assert not is_fixed(ExistsNom("i1", Dia(Nom("i1"))))
+    assert is_fixed(ExistsNom("i1", InvLDia(s12, Nom("i1"))))
 
 
 def test_eliminate_iff_and_substitution():
