@@ -210,8 +210,11 @@ def preprocess(ineq: Ineq, trace=None) -> list:
             pending.insert(0, new)
             break
         else:
-            out.append(cur)
-    return list(dict.fromkeys(out))
+            if cur in out:
+                record(trace, "preprocess", "dedupe", [cur], [])
+            else:
+                out.append(cur)
+    return out
 
 
 # ---------------------------------------------------------------------------

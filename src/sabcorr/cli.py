@@ -124,24 +124,26 @@ def cmd_correspond(args) -> int:
 
 
 def _classes(max_worlds: int):
-    """One frame per isomorphism class with at most max_worlds worlds, as
-    (frame, orbit), in enumeration order; orbit counts the labelled frames
-    of the class."""
+    """Per world count up to max_worlds, the list of one frame per
+    isomorphism class as (frame, orbit), in enumeration order; orbit counts
+    the labelled frames of the class."""
     for n in range(1, max_worlds + 1):
-        yield from enumerate_frames(n)
+        yield list(enumerate_frames(n))
 
 
 def _check(ineq: Ineq, fo, classes):
     """Yield (frame, orbit, input valid, correspondent holds) for each
-    (frame, orbit) of classes.  Both verdicts are the same on every frame
-    of a class.  The correspondent is checked as its simplified sentence,
-    which has no free names."""
+    (frame, orbit) of each list in classes, whose frames share one size.
+    Both verdicts are the same on every frame of a class.  The simplified
+    correspondent, which has no free names, is checked once per list."""
     statement = close_statement(ineq)
     vars = sorted(props_of(ineq.lhs) | props_of(ineq.rhs))
     sentence = simplify(fo)
-    for frame, orbit in classes:
-        yield (frame, orbit, frame_valid(frame, statement, vars),
-               holds_on_frame(frame, sentence))
+    for size in classes:
+        holds = holds_on_frame([frame for frame, _ in size], sentence)
+        for k, (frame, orbit) in enumerate(size):
+            yield (frame, orbit, frame_valid(frame, statement, vars),
+                   bool(holds >> k & 1))
 
 
 def cmd_verify(args) -> int:

@@ -11,31 +11,22 @@ and removes them by the one-point rule.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .syntax import (
     And, Bot, Formula, Iff, Imp, Nom, Not, Or, Prop, Top, CONNECTIVES,
 )
 from .semantics import (
-    Ineq, KripkeFrame, MegaGuard, QuasiUQ, Statement, UQIneq, valuations,
+    Ineq, MegaGuard, QuasiUQ, Statement, UQIneq,
 )
 
 
 class FOFormula:
     __slots__ = ()
-
-    @functools.cached_property
-    def compiled(self):
-        """The formula as (run, size, names, preds), compiled on first use
-        and kept on this object: run(env) is its truth on a list environment
-        of `size` slots, where names and preds give the slot of each free
-        name and predicate.  A bound name reads the slot of its nearest
-        binder."""
-        slots = _Slots()
-        run = slots.node(self, {})
-        return (run, slots.size, tuple(slots.names.items()),
-                tuple(slots.preds.items()))
 
 
 @dataclass(frozen=True)
@@ -106,10 +97,6 @@ class _VarGen:
         return name
 
 
-def _label_pairs(s) -> tuple:
-    return tuple(sorted(s))
-
-
 def _guard(x: str, y: str, pairs) -> list:
     """The atoms saying that (x,y) is an edge of r0 and none of the pairs."""
     return [Rel(x, y), *(FONot(FOAnd((Eq(x, v), Eq(y, w))))
@@ -133,12 +120,12 @@ def _edge(gen, x, e, f):
 
 def _label(gen, x, e, f):
     y = gen.fresh()
-    return (y,), _guard(x, y, _label_pairs(f.s)), y, e
+    return (y,), _guard(x, y, tuple(sorted(f.s))), y, e
 
 
 def _inv(gen, x, e, f):
     y = gen.fresh()
-    return (y,), _guard(y, x, _label_pairs(f.s)), y, e
+    return (y,), _guard(y, x, tuple(sorted(f.s))), y, e
 
 
 def _world(gen, x, e, f):
@@ -153,6 +140,10 @@ def _nom(gen, x, e, f):
 RANGES = {"succ": _succ, "edge": _edge, "label": _label, "inv": _inv,
           "world": _world, "nom": _nom}
 
+# The binary connectives, from the translations of their two sides.
+_BINARY = {And: lambda a, b: FOAnd((a, b)), Or: lambda a, b: FOOr((a, b)),
+           Imp: FOImp, Iff: lambda a, b: FOAnd((FOImp(a, b), FOImp(b, a)))}
+
 
 def st_formula(f: Formula, x: str, e: tuple, gen: _VarGen) -> FOFormula:
     if isinstance(f, Bot):
@@ -165,19 +156,10 @@ def st_formula(f: Formula, x: str, e: tuple, gen: _VarGen) -> FOFormula:
         return Eq(x, f.name)
     if isinstance(f, Not):
         return FONot(st_formula(f.child, x, e, gen))
-    if isinstance(f, And):
-        return FOAnd((st_formula(f.left, x, e, gen),
-                      st_formula(f.right, x, e, gen)))
-    if isinstance(f, Or):
-        return FOOr((st_formula(f.left, x, e, gen),
-                     st_formula(f.right, x, e, gen)))
-    if isinstance(f, Imp):
-        return FOImp(st_formula(f.left, x, e, gen),
-                     st_formula(f.right, x, e, gen))
-    if isinstance(f, Iff):
-        a = st_formula(f.left, x, e, gen)
-        b = st_formula(f.right, x, e, gen)
-        return FOAnd((FOImp(a, b), FOImp(b, a)))
+    if type(f) in _BINARY:
+        # each side is translated once, the left first
+        return _BINARY[type(f)](st_formula(f.left, x, e, gen),
+                                st_formula(f.right, x, e, gen))
     row = CONNECTIVES[type(f)]
     # exists b. (guard & body), or forall b. (guard -> body)
     binders, guard, point, deleted = RANGES[row.range](gen, x, e, f)
@@ -193,10 +175,10 @@ def st_formula(f: Formula, x: str, e: tuple, gen: _VarGen) -> FOFormula:
 def _st_statement(s: Statement, gen: _VarGen) -> FOFormula:
     if isinstance(s, Ineq):
         return FOForall("x", FOImp(
-            st_formula(s.lhs, "x", _label_pairs(s.sup), gen),
-            st_formula(s.rhs, "x", _label_pairs(s.sub), gen)))
+            st_formula(s.lhs, "x", tuple(sorted(s.sup)), gen),
+            st_formula(s.rhs, "x", tuple(sorted(s.sub)), gen)))
     if isinstance(s, MegaGuard):
-        guard = fo_and(_guard(s.m0, s.m1, _label_pairs(s.s)))
+        guard = fo_and(_guard(s.m0, s.m1, tuple(sorted(s.s))))
         return FOForall(s.m0, FOForall(
             s.m1, FOImp(guard, _st_statement(s.body, gen))))
     if isinstance(s, UQIneq):
@@ -226,126 +208,106 @@ class FOEvalError(ValueError):
     pass
 
 
-class _Slots:
-    """The list environment of one compiled formula.  Slots 0 and 1 hold
-    the frame's relation and worlds; each other slot holds a free name or
-    a predicate, filled on each call, or the world of one binder."""
-
-    def __init__(self):
-        self.size = 2
-        self.names, self.preds = {}, {}
-
-    def new(self) -> int:
-        self.size += 1
-        return self.size - 1
-
-    def input(self, table: dict, name: str) -> int:
-        if name not in table:
-            table[name] = self.new()
-        return table[name]
-
-    def term(self, name: str, scope: dict) -> int:
-        if name in scope:
-            return scope[name]
-        return self.input(self.names, name)
-
-    def node(self, g: FOFormula, scope: dict):
-        return _COMPILE[type(g)](self, g, scope)
+# Evaluation reads every frame of one size at once.  A subformula's table
+# is (names, masks): names are its free names that a quantifier above it
+# binds, sorted, and masks holds one int per assignment of them, the first
+# name varying slowest, with bit k set where it holds on frame k.  A mask is
+# read as an unbounded bit string, so every frame is -1 and negation is ~.
+# Each subformula costs n^len(names) masks, whatever its quantifier depth.
+_Frames = namedtuple("_Frames", "n cells val")
 
 
-def _conjoin(run, rest):
-    return lambda env: run(env) and rest(env)
+def _read(val: dict, name: str):
+    """A free name's world or a predicate's mask of worlds."""
+    if name not in val:
+        msg = f"no value for {name!r} in the valuation"
+        raise FOEvalError(msg)
+    return val[name]
 
 
-def _disjoin(run, rest):
-    return lambda env: run(env) or rest(env)
+def _atom(frames, bound, terms, truth):
+    """The table of an atom on terms; truth gives its mask at their
+    worlds, read from the valuation where no quantifier binds them."""
+    names = tuple(sorted(set(terms) & bound))
+    fixed = {t: _read(frames.val, t) for t in terms if t not in bound}
+    return names, [
+        truth(*({**fixed, **dict(zip(names, worlds))}[t] for t in terms))
+        for worlds in itertools.product(range(frames.n), repeat=len(names))]
 
 
-def _compile_eq(c, g, scope):
-    a, b = c.term(g.a, scope), c.term(g.b, scope)
-    return lambda env: env[a] == env[b]
+def _spread(n: int, table, names: tuple) -> list:
+    """The masks of table over the assignments of names, which include its
+    own."""
+    own, masks = table
+    index = [0]
+    for name in names:
+        stride = n ** (len(own) - 1 - own.index(name)) if name in own else 0
+        index = [i + w * stride for i in index for w in range(n)]
+    return [masks[i] for i in index]
 
 
-def _compile_rel(c, g, scope):
-    a, b = c.term(g.a, scope), c.term(g.b, scope)
-    return lambda env: (env[a], env[b]) in env[0]
+def _connective(op):
+    """The rule of a connective: op of its parts' masks under each
+    assignment of the union of their names."""
+    def rule(frames, bound, f):
+        tables = [_table(frames, bound, g) for g in _fo_children(f)]
+        names = tuple(sorted(set().union(*(own for own, _ in tables))))
+        columns = [_spread(frames.n, table, names) for table in tables]
+        return names, [op(*(column[i] for column in columns))
+                       for i in range(frames.n ** len(names))]
+    return rule
 
 
-def _compile_pred(c, g, scope):
-    mask, t = c.input(c.preds, g.name), c.term(g.t, scope)
-    return lambda env: env[mask] >> env[t] & 1
+def _quantifier(op):
+    """The rule of a quantifier: fold its variable out of the body's table
+    with op, or keep the table if the body does not read it, since no
+    domain is empty."""
+    def rule(frames, bound, f):
+        names, masks = _table(frames, bound | {f.var}, f.body)
+        if f.var not in names:
+            return names, masks
+        k = names.index(f.var)
+        inner = frames.n ** (len(names) - k - 1)
+        block = inner * frames.n
+        return names[:k] + names[k + 1:], [
+            functools.reduce(op, masks[start + lo:start + block:inner])
+            for start in range(0, len(masks), block) for lo in range(inner)]
+    return rule
 
 
-def _compile_not(c, g, scope):
-    child = c.node(g.child, scope)
-    return lambda env: not child(env)
-
-
-def _compile_junction(unit, join):
-    # parts fold into nested two-way closures: all() or any() over a
-    # generator made the whole check up to twice as slow
-    def compile_parts(c, g, scope):
-        runs = [c.node(p, scope) for p in g.parts]
-        out = runs.pop() if runs else (lambda env: unit)
-        for run in reversed(runs):
-            out = join(run, out)
-        return out
-    return compile_parts
-
-
-def _compile_imp(c, g, scope):
-    left, right = c.node(g.left, scope), c.node(g.right, scope)
-    return lambda env: not left(env) or right(env)
-
-
-def _compile_forall(c, g, scope):
-    i = c.new()
-    body = c.node(g.body, {**scope, g.var: i})
-
-    def forall(env):
-        for w in env[1]:
-            env[i] = w
-            if not body(env):
-                return False
-        return True
-    return forall
-
-
-def _compile_exists(c, g, scope):
-    i = c.new()
-    body = c.node(g.body, {**scope, g.var: i})
-
-    def exists(env):
-        for w in env[1]:
-            env[i] = w
-            if body(env):
-                return True
-        return False
-    return exists
-
-
-_COMPILE = {
-    Eq: _compile_eq, Rel: _compile_rel, Pred: _compile_pred,
-    FONot: _compile_not, FOAnd: _compile_junction(True, _conjoin),
-    FOOr: _compile_junction(False, _disjoin), FOImp: _compile_imp,
-    FOForall: _compile_forall, FOExists: _compile_exists,
+# One table rule per FO class, from the tables of its parts; `bound` holds
+# the names that quantifiers above the node bind.
+_TABLE = {
+    Eq: lambda frames, bound, f: _atom(
+        frames, bound, (f.a, f.b), lambda a, b: -1 if a == b else 0),
+    Rel: lambda frames, bound, f: _atom(
+        frames, bound, (f.a, f.b), lambda a, b: frames.cells.get((a, b), 0)),
+    Pred: lambda frames, bound, f: _atom(
+        frames, bound, (f.t,),
+        lambda w: -1 if _read(frames.val, f.name) >> w & 1 else 0),
+    FONot: _connective(operator.invert),
+    FOAnd: _connective(lambda *ms: functools.reduce(operator.and_, ms, -1)),
+    FOOr: _connective(lambda *ms: functools.reduce(operator.or_, ms, 0)),
+    FOImp: _connective(lambda a, b: ~a | b),
+    FOForall: _quantifier(operator.and_),
+    FOExists: _quantifier(operator.or_),
 }
 
 
-def eval_fo(frame: KripkeFrame, val: dict, f: FOFormula) -> bool:
-    """Truth of f, its free names and predicates read from the valuation."""
-    run, size, names, preds = f.compiled
-    env = [None] * size
-    env[0], env[1] = frame.r0, frame.worlds
-    for name, i in names:
-        if name in val:
-            env[i] = val[name]
-        else:
-            msg = f"unbound name {name!r}"
-            raise FOEvalError(msg)
-    for name, i in preds:
-        env[i] = val.get(name, 0)
-    return bool(run(env))
+def _table(frames: _Frames, bound: frozenset, f: FOFormula):
+    return _TABLE[type(f)](frames, bound, f)
+
+
+def eval_fo(frames, val: dict, f: FOFormula) -> int:
+    """The mask of the frames where f holds, frame k at bit k.  The frames
+    are at least one and have one size; f's free names and predicates are
+    read from the valuation."""
+    (n,) = {frame.n for frame in frames}
+    cells = {(u, v): sum(1 << k for k, frame in enumerate(frames)
+                         if (u, v) in frame.r0)
+             for u in range(n) for v in range(n)}
+    _, (mask,) = _table(_Frames(n, cells, val), frozenset(), f)
+    return mask & (1 << len(frames)) - 1
 
 
 # The FO node table: per class, its JSON key, its names (terms, a
@@ -387,14 +349,10 @@ def closure(f: FOFormula) -> FOFormula:
     return f
 
 
-def holds_on_frame(frame: KripkeFrame, sentence: FOFormula, vars=None) -> bool:
-    """Truth of a sentence on the frame under every valuation of vars, by
-    default the predicates of its compiled form, sorted; free names are the
-    caller's to close."""
-    if vars is None:
-        vars = sorted(name for name, _ in sentence.compiled[3])
-    return all(eval_fo(frame, val, sentence)
-               for val in valuations(frame, vars))
+def holds_on_frame(frames, sentence: FOFormula) -> int:
+    """The mask of the frames, all of one size, where the sentence holds,
+    frame k at bit k.  It has no free name and reads no predicate."""
+    return eval_fo(frames, {}, sentence)
 
 
 # ---------------------------------------------------------------------------
@@ -586,20 +544,18 @@ def _emit(f: FOFormula, d: dict) -> str:
         if isinstance(f.child, Eq):
             return f"{term(f.child.a)} != {term(f.child.b)}"
         return d["neg"].format(_emit(f.child, d))
-    if isinstance(f, FOAnd):
+    if isinstance(f, (FOAnd, FOOr)):
+        conjunction = isinstance(f, FOAnd)
         if not f.parts:
-            return d["true"]
-        return "(" + " & ".join(_emit(p, d) for p in f.parts) + ")"
-    if isinstance(f, FOOr):
-        if not f.parts:
-            return d["false"]
-        return "(" + " | ".join(_emit(p, d) for p in f.parts) + ")"
+            return d["true" if conjunction else "false"]
+        join = " & " if conjunction else " | "
+        return "(" + join.join(_emit(p, d) for p in f.parts) + ")"
     if isinstance(f, FOImp):
         return f"({_emit(f.left, d)} {d['imp']} {_emit(f.right, d)})"
-    if isinstance(f, FOForall):
-        return d["forall"].format(term(f.var)) + _emit(f.body, d)
-    if isinstance(f, FOExists):
-        return d["exists"].format(term(f.var)) + _emit(f.body, d)
+    if isinstance(f, (FOForall, FOExists)):
+        # the dialect's binder is under the node's JSON key
+        binder = d[_FO_NODES[type(f)][0]]
+        return binder.format(term(f.var)) + _emit(f.body, d)
     msg = f"cannot emit {f!r}"
     raise ValueError(msg)
 

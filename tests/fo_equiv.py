@@ -28,15 +28,15 @@ def translate_formula(f, x="x", e=()):
 def fo_equiv_on_small_frames(f1, f2, max_n=3, vars=()):
     """True iff f1 and f2 agree on every frame with 1..max_n worlds, every
     valuation of vars and their predicates, and every assignment of their
-    free names; each side is evaluated once per assignment."""
+    free names; each side is evaluated once per assignment, on every
+    labelled frame of a size at once."""
     vars = sorted(set(vars) | pred_names(f1) | pred_names(f2))
     names = sorted(free_names(f1) | free_names(f2))
     for n in range(1, max_n + 1):
-        for frame in labelled_frames(n):
-            for val in valuations(frame, vars):
-                for worlds in itertools.product(frame.worlds,
-                                                repeat=len(names)):
-                    v = {**val, **dict(zip(names, worlds))}
-                    if eval_fo(frame, v, f1) != eval_fo(frame, v, f2):
-                        return False
+        frames = list(labelled_frames(n))
+        for val in valuations(frames[0], vars):
+            for worlds in itertools.product(range(n), repeat=len(names)):
+                v = {**val, **dict(zip(names, worlds))}
+                if eval_fo(frames, v, f1) != eval_fo(frames, v, f2):
+                    return False
     return True

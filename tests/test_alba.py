@@ -89,6 +89,13 @@ def test_preprocess_examples():
 def test_preprocess_split_rhs_and_dedupe():
     assert preprocess(ineq("p <= q & q")) == [Ineq(p, q)]
     assert preprocess(ineq("p | q <= r")) == [Ineq(p, r), Ineq(q, r)]
+    # the repeat is consumed by a recorded step that produces nothing
+    trace = []
+    assert preprocess(ineq("p | p <= []p"), trace) == [Ineq(p, Box(p))]
+    one = "p <=^{}_{} []p"
+    assert [(s.rule, s.consumed, s.produced) for s in trace] == [
+        ("split", ("p | p <=^{}_{} []p",), (one, one)),
+        ("dedupe", (one,), ())]
 
 
 def test_preprocess_uniform_elimination_polarity():
@@ -456,19 +463,13 @@ def _replay_inputs():
 
 def test_trace_replay():
     # each step consumes items of the current state and adds what it
-    # produces; a successful run ends at the premises of its quasis.
-    # preprocess keeps one copy of a repeated sub-problem and records no
-    # step for it, so the state is made a set when stage 1 ends.
+    # produces; a successful run ends at the premises of its quasis
     successes = 0
     for src, must_succeed in _replay_inputs():
         result = run_alba(src)
         assert isinstance(result, AlbaSuccess) or not must_succeed, src
         state = Counter([print_statement(src)])
-        preprocessing = True
         for step in result.trace:
-            if preprocessing and step.stage != "preprocess":
-                preprocessing = False
-                state = Counter(set(+state))
             for c in step.consumed:
                 assert state[c] > 0, (src, step)
                 state[c] -= 1

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sabcorr import cli, fol
+from sabcorr import cli
 from sabcorr.cli import load_corpus, main
 from sabcorr.syntax import _SYMBOLS, Box, Dia, Prop, parse_inequality
 from sabcorr.semantics import Ineq, closure, enumerate_frames, frame_valid
@@ -158,18 +158,20 @@ def test_verify_fail_names_the_first_failing_labelled_frame(monkeypatch,
                                                            capsys):
     # a stand-in correspondent that is invariant under isomorphism: at
     # least two edges, or a loop at every world
-    def stand_in(frame, sentence, vars=None):
+    def holds(frame):
         return (len(frame.r0) >= 2
                 or all((w, w) in frame.r0 for w in frame.worlds))
+
+    def stand_in(frames, sentence):
+        return sum(1 << k for k, frame in enumerate(frames) if holds(frame))
     monkeypatch.setattr(cli, "holds_on_frame", stand_in)
     statement = closure(Ineq(*parse_inequality("[]p -> p")))
     expected = next(
         f"FAIL at n={frame.n}; edges={sorted(frame.r0)}: "
-        f"input valid={valid}, correspondent={holds}\n"
+        f"input valid={valid}, correspondent={holds(frame)}\n"
         for n in (1, 2, 3) for frame in labelled_frames(n)
-        for valid, holds in [(frame_valid(frame, statement),
-                              stand_in(frame, None))]
-        if valid != holds)
+        for valid in [frame_valid(frame, statement)]
+        if valid != holds(frame))
     assert expected.startswith("FAIL at n=2; edges=[(0, 0), (0, 1)]:")
     assert main(["verify", "--formula", "[]p -> p", "--max-worlds", "3"]) == 1
     assert capsys.readouterr().out == expected
@@ -183,30 +185,39 @@ def test_verify_checks_the_simplified_sentence(monkeypatch, capsys):
     assert len(free_names(raw)) == 16
     checked = set()
 
-    def spy(frame, sentence, vars=None):
+    def spy(frames, sentence):
         checked.add(sentence)
-        return holds_on_frame(frame, sentence, vars)
+        return holds_on_frame(frames, sentence)
     monkeypatch.setattr(cli, "holds_on_frame", spy)
     assert main(["verify", "--formula", text, "--max-worlds", "2"]) == 0
     assert "PASS over 18 frames" in capsys.readouterr().out
     assert [emit_fo(s) for s in checked] == ["true"]
 
 
-def test_verify_compiles_its_sentence_once_per_command(monkeypatch, capsys):
-    # the compiled form lives on the sentence, which one command builds:
-    # one compilation serves every frame, and none outlives the command
-    made = []
+def test_verify_checks_each_world_count_once(monkeypatch, capsys):
+    # one check per world count covers every class of that size, in the
+    # order the classes are drawn
+    calls = []
 
-    class CountingSlots(fol._Slots):
-        def __init__(self):
-            super().__init__()
-            made.append(self)
-    monkeypatch.setattr(fol, "_Slots", CountingSlots)
-    for runs in (1, 2):
-        assert main(["verify", "--formula", "[]p -> p",
-                     "--max-worlds", "3"]) == 0
-        assert "PASS over 530 frames" in capsys.readouterr().out
-        assert len(made) == runs
+    def spy(frames, sentence):
+        calls.append(frames)
+        return holds_on_frame(frames, sentence)
+    monkeypatch.setattr(cli, "holds_on_frame", spy)
+    assert main(["verify", "--formula", "[]p -> p", "--max-worlds", "3"]) == 0
+    assert "PASS over 530 frames" in capsys.readouterr().out
+    assert calls == [[frame for frame, _ in enumerate_frames(n)]
+                     for n in (1, 2, 3)]
+    assert list(map(len, calls)) == [2, 10, 104]
+
+
+def test_verify_is_not_exponential_in_quantifier_depth(capsys):
+    # the checked sentence nests 30 successor steps on each side; each
+    # subformula is tabulated over its own free names, so depth adds
+    # nodes, not assignments
+    chain = "[]" * 30 + "p"
+    assert main(["verify", "--formula", f"{chain} -> {chain}",
+                 "--max-worlds", "2"]) == 0
+    assert capsys.readouterr().out == "PASS over 18 frames (n <= 2)\n"
 
 
 def test_orbit_weighted_counts_match_labelled_counts():

@@ -14,7 +14,7 @@ from sabcorr.syntax import (
 )
 from sabcorr.semantics import (
     Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq,
-    closure as close_statement, frame_valid, statement_props,
+    closure as close_statement, frame_valid, statement_props, valuations,
 )
 from sabcorr.alba import AlbaSuccess, run_alba
 from sabcorr.cli import load_corpus
@@ -100,21 +100,30 @@ def test_eval_fo_basics():
     empty = KripkeFrame(1, frozenset())
     loop = KripkeFrame(1, frozenset({(0, 0)}))
     v = {}
-    assert eval_fo(empty, v, FOForall("x", Eq("x", "x")))
+    assert eval_fo([empty], v, FOForall("x", Eq("x", "x"))) == 1
     f = FOExists("y0", FOExists("y1", Rel("y0", "y1")))
-    assert not eval_fo(empty, v, f)
-    assert eval_fo(loop, v, f)
+    assert eval_fo([empty], v, f) == 0
+    assert eval_fo([loop], v, f) == 1
     st = st_statement(Ineq(Top(), SDia(Top())))
-    assert eval_fo(loop, v, st)
-    assert not eval_fo(empty, v, st)
+    assert eval_fo([loop], v, st) == 1
+    assert eval_fo([empty], v, st) == 0
+    # frame k at bit k
+    assert eval_fo([empty, loop, empty, loop], v, f) == 0b1010
+    # at least one frame, all of one size
+    for frames in ([], [loop, KripkeFrame(2, frozenset())]):
+        with pytest.raises(ValueError):
+            eval_fo(frames, v, f)
 
 
 def test_eval_fo_reads_nominals_from_valuation():
     loop = KripkeFrame(1, frozenset({(0, 0)}))
     v = {"i1": 0}
-    assert eval_fo(loop, v, Rel("i1", "i1"))
+    assert eval_fo([loop], v, Rel("i1", "i1")) == 1
     with pytest.raises(FOEvalError):
-        eval_fo(loop, {}, Rel("i9", "i9"))
+        eval_fo([loop], {}, Rel("i9", "i9"))
+    # a predicate with no valuation is an error, not the empty set
+    with pytest.raises(FOEvalError):
+        eval_fo([loop], v, Pred("p", "i1"))
 
 
 HAND_WRITTEN = [
@@ -134,9 +143,20 @@ HAND_WRITTEN = [
 ]
 
 
+def _holds_under_every_valuation(frames, sentence, preds):
+    """The mask of the frames, all of one size, where the sentence holds
+    under every valuation of preds."""
+    out = (1 << len(frames)) - 1
+    for val in valuations(frames[0], preds):
+        out &= eval_fo(frames, val, sentence)
+    return out
+
+
 def test_eval_fo_matches_the_independent_oracle():
     # bench/oracle.py evaluates the JSON form with its own closure; it
-    # shares no code with sabcorr
+    # shares no code with sabcorr.  Bit k of one call over every labelled
+    # frame of a size is the one-frame call on frame k, and the oracle's
+    # verdict on it.
     oracle = _bench_module("oracle")
     sentences = [correspondent(run_alba(iq).quasis)
                  for _, iq in load_corpus(CORPUS)]
@@ -145,12 +165,16 @@ def test_eval_fo_matches_the_independent_oracle():
     for fo in sentences:
         data = json.loads(emit_fo(fo, "json"))
         sentence, preds = closure(fo), sorted(pred_names(fo))
-        for n, edges in oracle.frames(2):
-            frame = KripkeFrame(n, edges)
-            got = holds_on_frame(frame, sentence, preds)
-            assert got == oracle.fo_valid(n, edges, data), (fo, frame)
-            verdicts.add(got)
-    assert verdicts == {True, False}
+        for n in (1, 2):
+            frames = list(labelled_frames(n))
+            mask = _holds_under_every_valuation(frames, sentence, preds)
+            for k, frame in enumerate(frames):
+                got = mask >> k & 1
+                assert got == _holds_under_every_valuation(
+                    [frame], sentence, preds), (fo, frame)
+                assert got == oracle.fo_valid(n, frame.r0, data), (fo, frame)
+                verdicts.add(got)
+    assert verdicts == {0, 1}
 
 
 def test_free_and_pred_names():
@@ -164,11 +188,14 @@ def test_holds_on_frame():
     loop = KripkeFrame(1, frozenset({(0, 0)}))
     empty = KripkeFrame(1, frozenset())
     refl = FOForall("x", Rel("x", "x"))
-    assert holds_on_frame(loop, refl)
-    assert not holds_on_frame(empty, refl)
-    # free names are closed universally
+    assert holds_on_frame([loop, empty, loop], refl) == 0b101
+    # free names are closed universally, by the caller
     two = KripkeFrame(2, frozenset({(0, 0)}))
-    assert not holds_on_frame(two, closure(Rel("i1", "i1")))
+    assert holds_on_frame([two], closure(Rel("i1", "i1"))) == 0
+    with pytest.raises(FOEvalError):
+        holds_on_frame([two], Rel("i1", "i1"))
+    with pytest.raises(FOEvalError):
+        holds_on_frame([two], FOForall("x", Pred("p", "x")))
 
 
 def test_closure_binds_free_names_first_sorted_outermost():
@@ -193,11 +220,13 @@ def test_modal_and_fo_closures_agree():
         vars = sorted(statement_props(s))
         fo = st_statement(s)
         verdicts = set()
-        for frame in (f for n in (1, 2) for f in labelled_frames(n)):
-            valid = frame_valid(frame, close_statement(s), vars)
-            assert holds_on_frame(frame, closure(fo), vars) == valid, \
-                (s, frame)
-            verdicts.add(valid)
+        for n in (1, 2):
+            frames = list(labelled_frames(n))
+            mask = _holds_under_every_valuation(frames, closure(fo), vars)
+            for k, frame in enumerate(frames):
+                valid = frame_valid(frame, close_statement(s), vars)
+                assert bool(mask >> k & 1) == valid, (s, frame)
+                verdicts.add(valid)
         assert verdicts == {True, False}, s
 
 
@@ -213,15 +242,15 @@ def test_eval_fo_leaves_the_valuation_alone():
     loop = KripkeFrame(2, frozenset({(0, 0), (1, 0)}))
     val = {"i1": 0, "p": 0b01}
     f = FOForall("x", FOImp(Pred("p", "x"), FOExists("y", Rel("y", "i1"))))
-    assert eval_fo(loop, val, f)
+    assert eval_fo([loop], val, f) == 1
     assert val == {"i1": 0, "p": 0b01}
 
 
 def test_empty_connectives():
     f = KripkeFrame(1, frozenset())
     v = {}
-    assert eval_fo(f, v, fo_and([]))
-    assert not eval_fo(f, v, FOOr(()))
+    assert eval_fo([f], v, fo_and([])) == 1
+    assert eval_fo([f], v, FOOr(())) == 0
     assert fo_and([Eq("x", "x")]) == Eq("x", "x")
 
 
@@ -297,10 +326,10 @@ def test_simplify_agrees_with_closure():
         sentence = simplify(fo)
         assert free_names(sentence) == frozenset()
         closed = closure(fo)
-        for frame in (f for n in range(1, max_n + 1)
-                      for f in labelled_frames(n)):
-            assert holds_on_frame(frame, sentence) == \
-                holds_on_frame(frame, closed), (emit_fo(fo), frame)
+        for n in range(1, max_n + 1):
+            frames = list(labelled_frames(n))
+            assert holds_on_frame(frames, sentence) == \
+                holds_on_frame(frames, closed), (emit_fo(fo), n)
 
 
 def test_simplify_matches_the_independent_oracle():
