@@ -9,8 +9,10 @@ which keeps the statements themselves and prints them only when read.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import reduce
+from operator import attrgetter
 
 from .syntax import (
     And, Bot, Box, Dia, ExistsNom, ForallNom, Formula, GBox, Imp, InvLBox,
@@ -162,9 +164,34 @@ def _simplify_bool(f: Formula) -> Formula:
     return f
 
 
-# Each side of an inequality read at its sign, so that a split is at the
-# side's JOIN: +or on the left, -and on the right.
-_SIDE_SIGN = {"lhs": "+", "rhs": "-"}
+# Per side of an inequality, read as the active side of a work item that
+# the other side anchors: the side and the other, its sign, the order type
+# of a variable that packs alone there, the join a split cuts at, the
+# anchor a nominal makes on the other side (i or ~i), how an inequality
+# reads from this side (the side, the anchor and their edge labels: 'sub'
+# on the right, 'sup' on the left) and is built back, per node class the
+# approximation and the residuation rule with its labelled modality
+# (None: a sabotage rule), and the packing rule with its kind of bound,
+# binder and packing of guards and bound.  The 'lhs' row is the order
+# dual of the 'rhs' row; approx-imp has no dual.
+_Side = namedtuple("_Side", "name other sign packs join anchor view make "
+                   "approx residuate pack")
+
+_SIDES = {
+    "rhs": _Side("rhs", "lhs", "+", "1", And, lambda i: i,
+                 attrgetter("rhs", "lhs", "sub", "sup"),
+                 lambda f, a, s, t: Ineq(a, f, t, s),
+                 {Dia: ("approx-dia", LDia), SDia: ("approx-sdia", None)},
+                 {Box: ("res-box", InvLDia), SBox: ("res-sbox", None)},
+                 ("pack-1", "minimal", ExistsNom,
+                  lambda gs, b: _and_chain(gs + [b]))),
+    "lhs": _Side("lhs", "rhs", "-", "d", Or, Not,
+                 attrgetter("lhs", "rhs", "sup", "sub"), Ineq,
+                 {Box: ("approx-box", LBox), SBox: ("approx-sbox", None)},
+                 {Dia: ("res-dia", InvLBox), SDia: ("res-sdia", None)},
+                 ("pack-2", "maximal", ForallNom,
+                  lambda gs, b: Imp(_and_chain(gs), b) if gs else b)),
+}
 
 
 def split(q: Ineq, side: str):
@@ -172,7 +199,7 @@ def split(q: Ineq, side: str):
     inequality per argument, keeping the edge labels; None if that side is
     not a join."""
     f = getattr(q, side)
-    if type(f) is not JOIN[_SIDE_SIGN[side]]:
+    if type(f) is not _SIDES[side].join:
         return None
     return [replace(q, **{side: half}) for half in (f.left, f.right)]
 
@@ -232,49 +259,54 @@ def first_approximation(pre: Ineq, gen: FreshNominals, eps: dict,
 # ---------------------------------------------------------------------------
 # substage 1: outer decomposition
 
-def _outer_step(item: WorkItem, gen: FreshNominals):
-    q = item.ineq
-    s, s2 = q.sup, q.sub
-    if item.active == "rhs":
-        f = q.rhs
-        if isinstance(q.lhs, Nom):
-            i = q.lhs
-            if isinstance(f, Dia):
-                j = gen.fresh()
-                return "approx-dia", [
-                    _mk((), Ineq(Nom(j), f.child, s2, s2), "rhs"),
-                    _mk((), Ineq(i, LDia(s2, Nom(j)), s, s2), "rhs")]
-            if isinstance(f, SDia):
-                m0, m1 = gen.fresh(), gen.fresh()
-                return "approx-sdia", [
-                    _mk((), Ineq(Nom(m0), LDia(s2, Nom(m1)), s2, s2), "rhs"),
-                    _mk((), Ineq(i, f.child, s, s2 | {(m0, m1)}), "rhs")]
-            if isinstance(f, Not):
-                return "res-not", [_mk((), Ineq(f.child, Not(i), s2, s), "lhs")]
-    else:
-        f = q.lhs
-        if isinstance(q.rhs, Not) and isinstance(q.rhs.child, Nom):
-            ni = q.rhs
-            if isinstance(f, Box):
-                j = gen.fresh()
-                return "approx-box", [
-                    _mk((), Ineq(f.child, Not(Nom(j)), s, s), "lhs"),
-                    _mk((), Ineq(LBox(s, Not(Nom(j))), ni, s, s2), "lhs")]
-            if isinstance(f, SBox):
-                m0, m1 = gen.fresh(), gen.fresh()
-                return "approx-sbox", [
-                    _mk((), Ineq(Nom(m0), LDia(s, Nom(m1)), s, s), "rhs"),
-                    _mk((), Ineq(f.child, ni, s | {(m0, m1)}, s2), "lhs")]
-            if isinstance(f, Imp):
-                j, k = gen.fresh(), gen.fresh()
-                return "approx-imp", [
-                    _mk((), Ineq(Nom(j), f.left, s, s), "rhs"),
-                    _mk((), Ineq(f.right, Not(Nom(k)), s, s), "lhs"),
-                    _mk((), Ineq(Imp(Nom(j), Not(Nom(k))), ni, s, s2), "lhs")]
-            if isinstance(f, Not):
-                return "res-not", [
-                    _mk((), Ineq(ni.child, f.child, s2, s), "rhs")]
+def _view(item: WorkItem):
+    """An active item's row, active side, anchor and their edge labels."""
+    row = _SIDES[item.active]
+    return (row, *row.view(item.ineq))
+
+
+def _anchor_nominal(row: _Side, a: Formula):
+    """The nominal i whose anchor for row is a, or None: a is i or ~i, and
+    the row's anchor of i has the same form."""
+    nom = a.child if isinstance(a, Not) else a
+    if isinstance(nom, Nom) and type(row.anchor(nom)) is type(a):
+        return nom
     return None
+
+
+def _res_not(item: WorkItem, anchor: Formula):
+    """res-not: the active ~c moves to the other side as c, with its edge
+    label, and `anchor` with the other label takes its place."""
+    row, f, _, s, s2 = _view(item)
+    new = _SIDES[row.other]
+    return "res-not", [_mk(item.guards, new.make(f.child, anchor, s, s2),
+                           new.name)]
+
+
+def _outer_step(item: WorkItem, gen: FreshNominals):
+    row, f, a, s, s2 = _view(item)
+    i = _anchor_nominal(row, a)
+    if i is None:
+        return None
+    if isinstance(f, Not):
+        return _res_not(item, _SIDES[row.other].anchor(i))
+    if isinstance(f, Imp) and item.active == "lhs":
+        j, k = gen.fresh(), gen.fresh()
+        return "approx-imp", [
+            _mk((), Ineq(Nom(j), f.left, s, s), "rhs"),
+            _mk((), Ineq(f.right, Not(Nom(k)), s, s), "lhs"),
+            _mk((), Ineq(Imp(Nom(j), Not(Nom(k))), a, s, s2), "lhs")]
+    if type(f) not in row.approx:
+        return None
+    rule, modality = row.approx[type(f)]
+    if modality:
+        j = row.anchor(Nom(gen.fresh()))  # j or ~j for a fresh j
+        return rule, [_mk((), row.make(f.child, j, s, s), row.name),
+                      _mk((), row.make(modality(s, j), a, s, s2), row.name)]
+    m0, m1 = gen.fresh(), gen.fresh()
+    return rule, [
+        _mk((), Ineq(Nom(m0), LDia(s, Nom(m1)), s, s), "rhs"),
+        _mk((), row.make(f.child, a, s | {(m0, m1)}, s2), row.name)]
 
 
 def _split_item(item: WorkItem):
@@ -306,93 +338,61 @@ def _rewrite(sys: System, step, stage: str) -> System:
 
 
 def reduce_outer(sys: System) -> System:
-    _check_substage1(_rewrite(sys, _outer_step, "substage-1"))
+    return _check_substage1(_rewrite(sys, _outer_step, "substage-1"))
+
+
+def _check(sys: System, stage: str, problem: str, ok) -> System:
+    """Raise at the first active item whose _view `ok` rejects."""
+    for item in sys.items:
+        if item.active != "none" and not ok(*_view(item)):
+            raise StageError(stage, f"{problem} {_show(item)}")
     return sys
 
 
-def _check_substage1(sys: System):
-    for item in sys.items:
-        if item.active == "none":
-            continue
-        q = item.ineq
-        if item.active == "rhs":
-            ok = (isinstance(q.lhs, Nom)
-                  and is_inner_sahlqvist(q.rhs, "+", sys.eps))
-        else:
-            ok = (isinstance(q.rhs, Not) and isinstance(q.rhs.child, Nom)
-                  and is_inner_sahlqvist(q.lhs, "-", sys.eps))
-        if not ok:
-            raise StageError("substage 1",
-                             f"stuck item {print_statement(item.statement())}")
+def _check_substage1(sys: System) -> System:
+    return _check(sys, "substage 1", "stuck item",
+                  lambda row, f, a, *_: _anchor_nominal(row, a) is not None
+                  and is_inner_sahlqvist(f, row.sign, sys.eps))
 
 
 # ---------------------------------------------------------------------------
 # substage 2: inner decomposition
 
 def _inner_step(item: WorkItem, gen: FreshNominals):
-    q = item.ineq
-    s, s2 = q.sup, q.sub
-    g = item.guards
-    if item.active == "rhs":
-        f = q.rhs
-        if isinstance(f, Not):
-            return "res-not", [_mk(g, Ineq(f.child, Not(q.lhs), s2, s), "lhs")]
-        if isinstance(f, Box):
-            return "res-box", [
-                _mk(g, Ineq(InvLDia(s2, q.lhs), f.child, s, s2), "rhs")]
-        if isinstance(f, SBox):
-            m0, m1 = gen.fresh(), gen.fresh()
-            return "res-sbox", [
-                _mk(g + (Guard(m0, m1, s2),),
-                    Ineq(q.lhs, f.child, s, s2 | {(m0, m1)}), "rhs")]
-    else:
-        f = q.lhs
-        if isinstance(f, Not):
-            return "res-not", [_mk(g, Ineq(Not(q.rhs), f.child, s2, s), "rhs")]
-        if isinstance(f, Dia):
-            return "res-dia", [
-                _mk(g, Ineq(f.child, InvLBox(s, q.rhs), s, s2), "lhs")]
-        if isinstance(f, SDia):
-            m0, m1 = gen.fresh(), gen.fresh()
-            return "res-sdia", [
-                _mk(g + (Guard(m0, m1, s),),
-                    Ineq(f.child, q.rhs, s | {(m0, m1)}, s2), "lhs")]
-    return None
+    row, f, a, s, s2 = _view(item)
+    if isinstance(f, Not):
+        return _res_not(item, Not(a))
+    if type(f) not in row.residuate:
+        return None
+    rule, modality = row.residuate[type(f)]
+    if modality:
+        return rule, [_mk(item.guards,
+                          row.make(f.child, modality(s, a), s, s2), row.name)]
+    m0, m1 = gen.fresh(), gen.fresh()
+    return rule, [_mk(item.guards + (Guard(m0, m1, s),),
+                      row.make(f.child, a, s | {(m0, m1)}, s2), row.name)]
 
 
 def reduce_inner(sys: System) -> System:
-    _check_substage2(_rewrite(sys, _inner_step, "substage-2"))
-    return sys
+    return _check_substage2(_rewrite(sys, _inner_step, "substage-2"))
 
 
-def _is_critical_prop(f: Formula, sign: str, eps: dict) -> bool:
-    return (isinstance(f, Prop)
-            and eps.get(f.name) == ("1" if sign == "+" else "d"))
-
-
-def _check_substage2(sys: System):
-    for item in sys.items:
-        if item.active == "none":
-            continue
-        q = item.ineq
-        f = q.rhs if item.active == "rhs" else q.lhs
-        sign = "+" if item.active == "rhs" else "-"
-        if _is_critical_prop(f, sign, sys.eps):
-            continue
-        if not has_critical_occurrence(f, sign, sys.eps):
-            continue
-        raise StageError("substage 2",
-                         f"non-reducible head {print_statement(item.statement())}")
+def _check_substage2(sys: System) -> System:
+    return _check(sys, "substage 2", "non-reducible head",
+                  lambda row, f, *_: _packs(row, f, sys.eps)
+                  or not has_critical_occurrence(f, row.sign, sys.eps))
 
 
 # ---------------------------------------------------------------------------
 # substage 3: packing
 
+def _packs(row: _Side, f: Formula, eps: dict) -> bool:
+    """Whether f is a variable that packs alone on row's side."""
+    return isinstance(f, Prop) and eps.get(f.name) == row.packs
+
+
 def _and_chain(parts):
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = And(part, out)
-    return out
+    return reduce(lambda rest, part: And(part, rest), reversed(parts))
 
 
 def pack(sys: System) -> System:
@@ -406,29 +406,20 @@ def pack(sys: System) -> System:
         guard_fs = [GBox(Imp(Nom(g.m0), LDia(g.s, Nom(g.m1))))
                     for g in item.guards]
         binders = [n for g in item.guards for n in (g.m0, g.m1)]
-        if isinstance(q.rhs, Prop) and eps.get(q.rhs.name) == "1":
-            if not is_fixed(q.lhs):
+        for row in _SIDES.values():
+            var, bound = getattr(q, row.name), getattr(q, row.other)
+            if _packs(row, var, eps):
+                break
+        else:
+            row = None
+        if row:
+            rule, extreme, binder, wrap = row.pack
+            if not is_fixed(bound):
                 raise StageError("substage 3",
-                                 f"impure minimal bound in "
-                                 f"{print_statement(item.statement())}")
-            form: Formula = _and_chain(guard_fs + [q.lhs])
-            for b in reversed(binders):
-                form = ExistsNom(b, form)
-            out: Statement = Ineq(form, q.rhs)
-            rule = "pack-1"
-        elif isinstance(q.lhs, Prop) and eps.get(q.lhs.name) == "d":
-            if not is_fixed(q.rhs):
-                raise StageError("substage 3",
-                                 f"impure maximal bound in "
-                                 f"{print_statement(item.statement())}")
-            if guard_fs:
-                form = Imp(_and_chain(guard_fs), q.rhs)
-                for b in reversed(binders):
-                    form = ForallNom(b, form)
-            else:
-                form = q.rhs
-            out = Ineq(q.lhs, form)
-            rule = "pack-2"
+                                 f"impure {extreme} bound in {_show(item)}")
+            form = reduce(lambda f, b: binder(b, f), reversed(binders),
+                          wrap(guard_fs, bound))
+            out: Statement = row.make(var, form, EMPTY_EDGES, EMPTY_EDGES)
         elif (fixed_lhs := is_fixed(q.lhs)) or is_fixed(q.rhs):
             # the deletion context of the side that is not fixed
             body = Ineq(Top(), Imp(_and_chain(guard_fs + [q.lhs]), q.rhs),
@@ -436,9 +427,8 @@ def pack(sys: System) -> System:
             out = UQIneq(tuple(binders), body) if binders else body
             rule = "pack-3" if fixed_lhs else "pack-4"
         else:
-            raise StageError("substage 3",
-                             f"head fails purity side condition in "
-                             f"{print_statement(item.statement())}")
+            raise StageError("substage 3", "head fails purity side "
+                             f"condition in {_show(item)}")
         record(sys.trace, "substage-3", rule, [item], [out])
         packed.append(out)
     sys.items = packed

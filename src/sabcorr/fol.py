@@ -14,7 +14,7 @@ import functools
 import itertools
 import json
 import operator
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 
 from .syntax import (
@@ -303,9 +303,10 @@ def eval_fo(frames, val: dict, f: FOFormula) -> int:
     are at least one and have one size; f's free names and predicates are
     read from the valuation."""
     (n,) = {frame.n for frame in frames}
-    cells = {(u, v): sum(1 << k for k, frame in enumerate(frames)
-                         if (u, v) in frame.r0)
-             for u in range(n) for v in range(n)}
+    cells = defaultdict(int)
+    for k, frame in enumerate(frames):
+        for cell in frame.r0:
+            cells[cell] |= 1 << k
     _, (mask,) = _table(_Frames(n, cells, val), frozenset(), f)
     return mask & (1 << len(frames)) - 1
 
@@ -329,26 +330,6 @@ def _fo_children(f: FOFormula) -> tuple:
     return _FO_NODES[type(f)][2](f)
 
 
-def free_names(f: FOFormula) -> frozenset:
-    if isinstance(f, (Eq, Rel)):
-        return frozenset({f.a, f.b})
-    if isinstance(f, Pred):
-        return frozenset({f.t})
-    out = frozenset()
-    for g in _fo_children(f):
-        out |= free_names(g)
-    if isinstance(f, (FOForall, FOExists)):
-        out -= {f.var}
-    return out
-
-
-def closure(f: FOFormula) -> FOFormula:
-    """f with one FOForall per free name, the first sorted name outermost."""
-    for name in sorted(free_names(f), reverse=True):
-        f = FOForall(name, f)
-    return f
-
-
 def holds_on_frame(frames, sentence: FOFormula) -> int:
     """The mask of the frames, all of one size, where the sentence holds,
     frame k at bit k.  It has no free name and reads no predicate."""
@@ -359,13 +340,14 @@ def holds_on_frame(frames, sentence: FOFormula) -> int:
 # simplification
 
 def simplify(f: FOFormula) -> FOFormula:
-    """A closed sentence true on exactly the frames where closure(f) is
-    true, every domain being non-empty: the negation normal form with each
-    nominal removed by the one-point rule, constants folded, quantifiers
-    miniscoped and bound variables named x, y, z, ... by depth."""
+    """A closed sentence true on exactly the frames where f holds under
+    every assignment of its free names, every domain being non-empty: the
+    negation normal form with each nominal removed by the one-point rule,
+    constants folded, quantifiers miniscoped and bound variables named x,
+    y, z, ... by depth."""
     simp = _Simplifier()
     g = simp.walk(f, True, {})
-    # close as `closure` does, the first sorted name outermost
+    # bind each free name universally, the first sorted name outermost
     for name in sorted(simp.names(g), reverse=True):
         g = simp.quantify(True, name, g)
     return _name_by_depth(g, 0, {})

@@ -1,15 +1,37 @@
 """Semantic equivalence of first-order formulas on small frames, for tests
-that compare a correspondent with a textbook condition; the predicates of a
-formula; and the standard translation of one modal formula."""
+that compare a correspondent with a textbook condition; the predicates and
+free names of a formula and its universal closure, the reference the
+`simplify` tests check against; and the standard translation of one modal
+formula."""
 
 import itertools
 
 from sabcorr.semantics import valuations
 from sabcorr.fol import (
-    Pred, eval_fo, free_names, st_formula, _fo_children, _VarGen,
+    Eq, FOExists, FOForall, Pred, Rel, eval_fo, st_formula, _fo_children,
+    _VarGen,
 )
 
 from frames import labelled_frames
+
+
+def free_names(f):
+    """The names of an FO formula that no quantifier of it binds."""
+    if isinstance(f, (Eq, Rel)):
+        return frozenset({f.a, f.b})
+    if isinstance(f, Pred):
+        return frozenset({f.t})
+    out = frozenset().union(*map(free_names, _fo_children(f)))
+    if isinstance(f, (FOForall, FOExists)):
+        out -= {f.var}
+    return out
+
+
+def closure(f):
+    """f with one FOForall per free name, the first sorted name outermost."""
+    for name in sorted(free_names(f), reverse=True):
+        f = FOForall(name, f)
+    return f
 
 
 def pred_names(f):

@@ -1,6 +1,8 @@
 """Rewrite-engine tests: preprocessing, approximation, residuation,
 packing, Ackermann elimination, full runs and trace replay."""
 
+import functools
+import json
 from collections import Counter
 
 import pytest
@@ -461,12 +463,17 @@ def _replay_inputs():
     return inputs.items()
 
 
+@functools.lru_cache(maxsize=None)
+def _replay_runs():
+    return [(src, must_succeed, run_alba(src))
+            for src, must_succeed in _replay_inputs()]
+
+
 def test_trace_replay():
     # each step consumes items of the current state and adds what it
     # produces; a successful run ends at the premises of its quasis
     successes = 0
-    for src, must_succeed in _replay_inputs():
-        result = run_alba(src)
+    for src, must_succeed, result in _replay_runs():
         assert isinstance(result, AlbaSuccess) or not must_succeed, src
         state = Counter([print_statement(src)])
         for step in result.trace:
@@ -483,6 +490,17 @@ def test_trace_replay():
             final.update(print_statement(s) for s in quasi.premises)
         assert +state == +final, src
     assert successes >= 1000
+
+
+def test_reference_traces_pin_every_replayed_rule():
+    # a rule the replay fires but no file in tests/traces shows could
+    # change its output unseen
+    fired = {(step.stage, step.rule)
+             for _, _, result in _replay_runs() for step in result.trace}
+    pinned = {(step["stage"], step["rule"])
+              for path in (ROOT / "tests" / "traces").glob("*.json")
+              for step in json.loads(path.read_text())}
+    assert fired - pinned == set()
 
 
 def test_trace_is_printed_only_when_read(monkeypatch):

@@ -13,8 +13,9 @@ from sabcorr.cli import load_corpus, main
 from sabcorr.syntax import _SYMBOLS, Box, Dia, Prop, parse_inequality
 from sabcorr.semantics import Ineq, closure, enumerate_frames, frame_valid
 from sabcorr.alba import run_alba
-from sabcorr.fol import correspondent, emit_fo, free_names, holds_on_frame
+from sabcorr.fol import correspondent, emit_fo, holds_on_frame
 
+from fo_equiv import free_names
 from frames import labelled_frames
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sahlqvist.txt"
@@ -129,7 +130,11 @@ def test_correspond_trace_file(tmp_path, capsys):
     # and right-handed Ackermann
     ("<!>[!](p & p) -> (~p | ((p | p) & ~bot))", "sabotage-split.json"),
     # the automatic order type p=d, q=1: left-handed Ackermann
-    ("[](top & q) -> (((top -> p) | (top & p)) -> p)", "ackermann-left.json")])
+    ("[](top & q) -> (((top -> p) | (top & p)) -> p)", "ackermann-left.json"),
+    # dedupe, approx-sbox, res-dia, and res-not in both substages on both
+    # sides
+    ("(<>~p | [!]~q) | (<>~p | [!]~q) -> ~p & <>~[!]q & [!]p & <>q",
+     "dual-rules.json")])
 def test_correspond_trace_matches_reference(tmp_path, capsys, formula,
                                             reference):
     # the references come from a trace that printed every item when it was

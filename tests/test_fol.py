@@ -20,11 +20,14 @@ from sabcorr.alba import AlbaSuccess, run_alba
 from sabcorr.cli import load_corpus
 from sabcorr.fol import (
     Eq, FOAnd, FOEvalError, FOExists, FOForall, FOImp, FONot, FOOr, Pred,
-    Rel, as_json, closure, correspondent, emit_fo, eval_fo, fo_and,
-    free_names, holds_on_frame, simplify, st_formula, st_statement, _VarGen,
+    Rel, as_json, correspondent, emit_fo, eval_fo, fo_and, holds_on_frame,
+    simplify, st_formula, st_statement, _VarGen,
 )
 
-from fo_equiv import fo_equiv_on_small_frames, pred_names, translate_formula
+from fo_equiv import (
+    closure, fo_equiv_on_small_frames, free_names, pred_names,
+    translate_formula,
+)
 from frames import labelled_frames
 from test_golden import _bench_module
 

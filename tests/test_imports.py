@@ -132,9 +132,7 @@ def read_only_by_tests(package: dict, readers: dict) -> list:
 
 
 # Definitions only tests read, each kept on purpose.
-READ_ONLY_BY_TESTS = {
-    ("fol", "closure"): "the reference the simplify tests check against",
-}
+READ_ONLY_BY_TESTS = {}
 
 
 def test_scan_finds_a_definition_only_tests_read():
