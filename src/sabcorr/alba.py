@@ -18,8 +18,7 @@ from .syntax import (
     And, Bot, Box, Dia, ExistsNom, ForallNom, Formula, GBox, Imp, InvLBox,
     InvLDia, LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top,
     CONNECTIVES, EMPTY_EDGES, FreshNominals, _rebuild, all_names_of, children,
-    eliminate_iff, is_fixed, occurrence_signs, polarity, props_of,
-    substitute_prop,
+    eliminate_iff, is_fixed, occurrence_signs, props_of, substitute_prop,
 )
 from .semantics import (
     Ineq, MegaGuard, QuasiUQ, Statement, UQIneq, map_formulas,
@@ -222,9 +221,10 @@ def preprocess(ineq: Ineq, trace=None) -> list:
             record(trace, "preprocess", "split", [cur], halves)
             pending[:0] = halves
             continue
-        for p in sorted(props_of(cur.lhs) & props_of(cur.rhs)):
-            signs = set(occurrence_signs(cur.lhs, p, "+"))
-            signs |= set(occurrence_signs(cur.rhs, p, "-"))
+        lhs = occurrence_signs(cur.lhs, "+")
+        rhs = occurrence_signs(cur.rhs, "-")
+        for p in sorted(lhs.keys() & rhs.keys()):
+            signs = lhs[p] | rhs[p]
             if signs == {"-"}:
                 repl: Formula = Bot()
             elif signs == {"+"}:
@@ -439,18 +439,18 @@ def pack(sys: System) -> System:
 # substage 4: Ackermann elimination
 
 # Per handedness: the side where p stands alone, the side of its bound,
-# the join of the bounds and the join of none, and the polarity p may have,
-# besides absent, on the lhs and on the rhs of every other item.
+# the join of the bounds and the join of none, and the one sign p may
+# carry in every other item, read with the lhs at + and the rhs at -.
 _ACKERMANN = {
-    "right": ("rhs", "lhs", Or, Bot, ("positive", "negative")),
-    "left": ("lhs", "rhs", And, Top, ("negative", "positive")),
+    "right": ("rhs", "lhs", Or, Bot, "+"),
+    "left": ("lhs", "rhs", And, Top, "-"),
 }
 
 
 def ackermann_eliminate(sys: System, p: str, handedness: str) -> System:
     """Eliminate p from the packed system.  Right-handed collects items
     alpha <= p and substitutes their join; left-handed is the dual."""
-    var_side, bound_side, join, empty, (ok_l, ok_r) = _ACKERMANN[handedness]
+    var_side, bound_side, join, empty, sign = _ACKERMANN[handedness]
     alphas = []
     rest = []
     for st in sys.items:
@@ -471,11 +471,12 @@ def ackermann_eliminate(sys: System, p: str, handedness: str) -> System:
     changed_to = []
     for st in rest:
         q = st.body if isinstance(st, UQIneq) else st
-        pol_l, pol_r = polarity(q.lhs, p), polarity(q.rhs, p)
-        if pol_l == pol_r == "absent":
+        signs = (occurrence_signs(q.lhs, "+").get(p, set())
+                 | occurrence_signs(q.rhs, "-").get(p, set()))
+        if not signs:
             new_items.append(st)
             continue
-        if pol_l not in (ok_l, "absent") or pol_r not in (ok_r, "absent"):
+        if signs != {sign}:
             raise StageError(
                 "substage 4",
                 f"{p} occurs with the wrong polarity in {_show(st)}")

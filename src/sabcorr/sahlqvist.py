@@ -11,7 +11,8 @@ order); a leaf +p with eps(p)='1' or -p with eps(p)='d' is critical.
 from __future__ import annotations
 
 from .syntax import (
-    And, Formula, Or, Prop, CONNECTIVES, eliminate_iff, parse_formula, props_of,
+    And, Formula, Or, Prop, CONNECTIVES, eliminate_iff, occurrence_signs,
+    parse_formula, props_of,
 )
 from .semantics import Ineq
 
@@ -95,7 +96,9 @@ def is_inner_sahlqvist(f: Formula, sign: str, eps: dict) -> bool:
 def has_critical_occurrence(f: Formula, sign: str, eps: dict) -> bool:
     """True iff f signed `sign` has a critical variable occurrence.  A
     formula with no critical occurrences is eps-dual-uniform."""
-    return any(critical_branches(f, sign, eps))
+    return any(("+" if eps[name] == "1" else "-") in signs
+               for name, signs in occurrence_signs(f, sign).items()
+               if name in eps)
 
 
 def parse_order_type(spec: str) -> dict:

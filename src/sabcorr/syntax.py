@@ -276,12 +276,6 @@ def _rebuild(f: Formula, kids: tuple) -> Formula:
     return CONNECTIVES[type(f)].rebuild(f, kids) if kids else f
 
 
-def signed_children(f: Formula, sign: str):
-    """(child, sign) pairs for the children of a node of the given sign."""
-    row = CONNECTIVES[type(f)]
-    return zip(row.children(f), row.signs[sign])
-
-
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -459,6 +453,25 @@ def props_of(f: Formula) -> frozenset:
     return frozenset(out)
 
 
+def occurrence_signs(f: Formula, sign: str) -> dict:
+    """Map each variable of f signed `sign` to the signs of its
+    occurrences, read off the connective table; both children of Iff
+    carry both signs, as either side of an equivalence is both an
+    antecedent and a consequent."""
+    out = {}
+    stack = [(f, sign)]
+    while stack:
+        g, s = stack.pop()
+        if type(g) is Prop:
+            out.setdefault(g.name, set()).add(s)
+        elif type(g) is Iff:
+            stack += [(c, t) for c in (g.left, g.right) for t in "+-"]
+        else:
+            row = CONNECTIVES[type(g)]
+            stack += zip(row.children(g), row.signs[s])
+    return out
+
+
 def nominals_of(f: Formula) -> frozenset:
     """Free nominal names of f, including those inside edge labels."""
     if isinstance(f, Nom):
@@ -520,38 +533,6 @@ def substitute_prop(f: Formula, name: str, g: Formula) -> Formula:
     if not kids:
         return f
     return _rebuild(f, tuple(substitute_prop(c, name, g) for c in kids))
-
-
-# ---------------------------------------------------------------------------
-# polarity
-
-def occurrence_signs(f: Formula, name: str, sign: str = "+"):
-    """Yield the sign of every occurrence of Prop(name) in f.
-
-    Signs follow the connective table; each occurrence under Iff is
-    reported with both signs, since either side of an equivalence is both
-    an antecedent and a consequent.
-    """
-    if isinstance(f, Prop):
-        if f.name == name:
-            yield sign
-        return
-    pairs = signed_children(f, sign)
-    if isinstance(f, Iff):
-        pairs = [*pairs, *signed_children(f, _FLIP[sign])]
-    for g, s in pairs:
-        yield from occurrence_signs(g, name, s)
-
-
-def polarity(f: Formula, name: str) -> str:
-    signs = set(occurrence_signs(f, name))
-    if not signs:
-        return "absent"
-    if signs == {"+"}:
-        return "positive"
-    if signs == {"-"}:
-        return "negative"
-    return "both"
 
 
 # ---------------------------------------------------------------------------

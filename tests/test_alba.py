@@ -2,6 +2,7 @@
 packing, Ackermann elimination, full runs and trace replay."""
 
 import functools
+import hashlib
 import json
 from collections import Counter
 
@@ -23,6 +24,7 @@ from sabcorr.alba import (
     preprocess, reduce_inner, reduce_outer, run_alba, _mk,
 )
 from sabcorr.cli import load_corpus
+from sabcorr.fol import correspondent, emit_fo
 
 from frames import labelled_frames
 from test_golden import ROOT, _bench_module
@@ -501,6 +503,30 @@ def test_reference_traces_pin_every_replayed_rule():
               for path in (ROOT / "tests" / "traces").glob("*.json")
               for step in json.loads(path.read_text())}
     assert fired - pinned == set()
+
+
+# sha256 of the replayed runs' output; a change meant to keep ALBA's
+# output byte for byte keeps it
+REPLAY_DIGEST = (
+    "9f861a9fc3350188e149c9adf404cc13ee1d301f45ad840b772baed903cd1d5a")
+
+
+def test_replayed_output_is_pinned():
+    # one hash over every replayed run: each trace step, then the failure
+    # stage and reason, or each quasi and the text correspondent; a
+    # refactor that changes any of them, even the numbering of a nominal,
+    # changes the hash
+    digest = hashlib.sha256()
+    for _, _, result in _replay_runs():
+        for step in result.trace:
+            digest.update(json.dumps(step.as_dict(), sort_keys=True).encode())
+        if isinstance(result, AlbaFailure):
+            digest.update(f"{result.stage}: {result.reason}".encode())
+            continue
+        for quasi in result.quasis:
+            digest.update(print_statement(quasi).encode())
+        digest.update(emit_fo(correspondent(result.quasis), "text").encode())
+    assert digest.hexdigest() == REPLAY_DIGEST
 
 
 def test_trace_is_printed_only_when_read(monkeypatch):

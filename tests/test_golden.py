@@ -1,10 +1,16 @@
 """The benchmark's own modules under bench/ against the program: `correspond`
 on every shipped corpus entry, in text, JSON and TPTP, against the golden
-outputs in bench/golden/, and the tracer's view of the check layer and of
-the ALBA stages."""
+outputs in bench/golden/, the tracer's view of the check layer and of
+the ALBA stages, and a traced benchmark run of the workloads that check
+frames."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from sabcorr import alba, cli, fol, semantics
 
@@ -66,3 +72,22 @@ def test_tracer_sees_every_alba_stage(capsys):
     for stage in ("preprocess", "first_approximation", "reduce_outer",
                   "reduce_inner", "pack", "ackermann"):
         assert calls[f"alba.{stage}"] == 1, stage
+
+
+@pytest.mark.parametrize("workload", ["verify-n4", "corpus-n3"])
+def test_traced_benchmark_runs(workload):
+    # the traced run looks up the check and each ALBA stage by name and
+    # reads their results; a renamed stage or a changed return type ends
+    # it with a traceback.  A subprocess, since the benchmark re-imports
+    # sabcorr.  correspond-gen takes about 16 s traced: run it by hand.
+    run = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    metrics = result["metrics"]
+    assert metrics["semantics.valuations"]["value"] > 0
+    assert metrics["fol.check_calls"]["value"] > 0

@@ -1,4 +1,5 @@
-"""Parser, printer, polarity and fresh-name tests."""
+"""Connective-table, parser, printer, structural-query, sign-map and
+fresh-name tests."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,8 +10,8 @@ from sabcorr.syntax import (
     InvLDia, LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top,
     CONNECTIVES, EMPTY_EDGES, PREFIX, Formula, FreshNominals, ParseError,
     all_names_of, children, eliminate_iff, is_fixed, nominals_of,
-    occurrence_signs, parse_formula, parse_inequality, polarity,
-    print_formula, props_of, signed_children, substitute_prop,
+    occurrence_signs, parse_formula, parse_inequality, print_formula,
+    props_of, substitute_prop,
 )
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
@@ -47,12 +48,13 @@ def test_every_formula_class_has_a_row():
                if cls not in quantifying)
 
 
-def test_signed_children():
-    assert list(signed_children(Imp(p, q), "+")) == [(p, "-"), (q, "+")]
-    assert list(signed_children(Imp(p, q), "-")) == [(p, "+"), (q, "-")]
-    assert list(signed_children(Not(p), "-")) == [(p, "+")]
-    assert list(signed_children(SDia(p), "-")) == [(p, "-")]
-    assert list(signed_children(p, "+")) == []
+def test_child_signs():
+    # each child's sign comes from its parent's row
+    assert occurrence_signs(Imp(p, q), "+") == {"p": {"-"}, "q": {"+"}}
+    assert occurrence_signs(Imp(p, q), "-") == {"p": {"+"}, "q": {"-"}}
+    assert occurrence_signs(Not(p), "-") == {"p": {"+"}}
+    assert occurrence_signs(SDia(p), "-") == {"p": {"-"}}
+    assert occurrence_signs(p, "+") == {"p": {"+"}}
     assert children(ForallNom("i1", p)) == (p,)
 
 
@@ -202,33 +204,45 @@ def test_eliminate_iff_and_substitution():
 
 
 # ---------------------------------------------------------------------------
-# polarity
+# sign maps
 
-def test_polarity_examples():
-    assert polarity(Imp(Dia(p), p), "p") == "both"
-    assert polarity(Box(p), "p") == "positive"
-    assert polarity(Not(p), "p") == "negative"
-    assert polarity(Box(q), "p") == "absent"
-    assert polarity(Iff(p, q), "p") == "both"
+BOTH = {"+", "-"}
+
+
+def test_occurrence_sign_examples():
+    assert occurrence_signs(Imp(Dia(p), p), "+") == {"p": BOTH}
+    assert occurrence_signs(Box(p), "+") == {"p": {"+"}}
+    assert occurrence_signs(Not(p), "+") == {"p": {"-"}}
+    assert "p" not in occurrence_signs(Box(q), "+")
+    assert occurrence_signs(Iff(p, q), "+") == {"p": BOTH, "q": BOTH}
 
 
 def test_occurrence_signs():
-    assert list(occurrence_signs(Imp(p, p), "p")) == ["-", "+"]
-    assert list(occurrence_signs(Not(Not(p)), "p")) == ["+"]
+    assert occurrence_signs(Imp(p, p), "+") == {"p": BOTH}
+    assert occurrence_signs(Not(Not(p)), "+") == {"p": {"+"}}
+    assert occurrence_signs(Top(), "+") == {}
+    # either side of an equivalence is both an antecedent and a
+    # consequent, at either sign of the equivalence
+    for sign in "+-":
+        assert occurrence_signs(Iff(p, q), sign) == {"p": BOTH, "q": BOTH}
+        assert occurrence_signs(Box(Iff(Not(p), q)), sign) == \
+            {"p": BOTH, "q": BOTH}
 
 
-_FLIP = {"positive": "negative", "negative": "positive",
-         "both": "both", "absent": "absent"}
+def _flipped(signs: dict) -> dict:
+    return {name: {"-" if s == "+" else "+" for s in found}
+            for name, found in signs.items()}
 
 
 @given(_base_formulas)
-def test_polarity_composition(f):
-    pol = polarity(f, "p")
-    assert polarity(Not(f), "p") == _FLIP[pol]
+def test_occurrence_signs_composition(f):
+    signs = occurrence_signs(f, "+")
+    assert occurrence_signs(f, "-") == _flipped(signs)
+    assert occurrence_signs(Not(f), "+") == _flipped(signs)
     for wrap in (Box, Dia, SBox, SDia):
-        assert polarity(wrap(f), "p") == pol
-    assert polarity(And(f, Top()), "p") == pol
-    assert polarity(Or(f, Bot()), "p") == pol
+        assert occurrence_signs(wrap(f), "+") == signs
+    assert occurrence_signs(And(f, Top()), "+") == signs
+    assert occurrence_signs(Or(f, Bot()), "+") == signs
 
 
 # ---------------------------------------------------------------------------
