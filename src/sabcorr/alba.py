@@ -274,22 +274,23 @@ def _anchor_nominal(row: _Side, a: Formula):
     return None
 
 
-def _res_not(item: WorkItem, anchor: Formula):
-    """res-not: the active ~c moves to the other side as c, with its edge
-    label, and `anchor` with the other label takes its place."""
-    row, f, _, s, s2 = _view(item)
+def _res_not(item: WorkItem, view, anchor: Formula):
+    """res-not: the active ~c of the item's view moves to the other side
+    as c, with its edge label, and `anchor` with the other label takes its
+    place."""
+    row, f, _, s, s2 = view
     new = _SIDES[row.other]
     return "res-not", [_mk(item.guards, new.make(f.child, anchor, s, s2),
                            new.name)]
 
 
-def _outer_step(item: WorkItem, gen: FreshNominals):
-    row, f, a, s, s2 = _view(item)
+def _outer_step(item: WorkItem, view, gen: FreshNominals):
+    row, f, a, s, s2 = view
     i = _anchor_nominal(row, a)
     if i is None:
         return None
     if isinstance(f, Not):
-        return _res_not(item, _SIDES[row.other].anchor(i))
+        return _res_not(item, view, _SIDES[row.other].anchor(i))
     if isinstance(f, Imp) and item.active == "lhs":
         j, k = gen.fresh(), gen.fresh()
         return "approx-imp", [
@@ -309,59 +310,52 @@ def _outer_step(item: WorkItem, gen: FreshNominals):
         _mk((), row.make(f.child, a, s | {(m0, m1)}, s2), row.name)]
 
 
-def _split_item(item: WorkItem):
-    halves = split(item.ineq, item.active)
-    return halves and ("split", [_mk(item.guards, h, item.active)
-                                 for h in halves])
-
-
-def _rewrite(sys: System, step, stage: str) -> System:
+def _rewrite(sys: System, step, stage: str, failure: str, problem: str,
+             ok) -> System:
     """Replace the first active item that a split at its active side or
     `step` rewrites by what it produces, recording the rule, until no
-    active item is rewritten.
+    active item is rewritten; then raise a StageError at `failure` for
+    the first active item whose view `ok` rejects.
 
     A step that returns None draws no nominal and items never change, so
-    the items before a rewrite stay unrewritable and the scan goes on at
-    the rewritten index."""
-    idx = 0
+    the items before a rewrite stay unrewritable, the scan goes on at the
+    rewritten index, and an item it passes is final: `ok` reads it then."""
+    idx, stuck = 0, None
     while idx < len(sys.items):
         item = sys.items[idx]
-        out = item.active != "none" and (_split_item(item)
-                                         or step(item, sys.gen))
-        if out:
-            rule, new_items = out
-            sys.items[idx:idx + 1] = new_items
-            record(sys.trace, stage, rule, [item], new_items)
-        else:
-            idx += 1
+        if item.active != "none":
+            view = _view(item)
+            halves = split(item.ineq, item.active)
+            out = (("split", [_mk(item.guards, h, item.active)
+                              for h in halves]) if halves
+                   else step(item, view, sys.gen))
+            if out:
+                rule, new_items = out
+                sys.items[idx:idx + 1] = new_items
+                record(sys.trace, stage, rule, [item], new_items)
+                continue
+            if stuck is None and not ok(*view):
+                stuck = item
+        idx += 1
+    if stuck:
+        raise StageError(failure, f"{problem} {_show(stuck)}")
     return sys
 
 
 def reduce_outer(sys: System) -> System:
-    return _check_substage1(_rewrite(sys, _outer_step, "substage-1"))
-
-
-def _check(sys: System, stage: str, problem: str, ok) -> System:
-    """Raise at the first active item whose _view `ok` rejects."""
-    for item in sys.items:
-        if item.active != "none" and not ok(*_view(item)):
-            raise StageError(stage, f"{problem} {_show(item)}")
-    return sys
-
-
-def _check_substage1(sys: System) -> System:
-    return _check(sys, "substage 1", "stuck item",
-                  lambda row, f, a, *_: _anchor_nominal(row, a) is not None
-                  and is_inner_sahlqvist(f, row.sign, sys.eps))
+    return _rewrite(sys, _outer_step, "substage-1", "substage 1",
+                    "stuck item",
+                    lambda row, f, a, *_: _anchor_nominal(row, a) is not None
+                    and is_inner_sahlqvist(f, row.sign, sys.eps))
 
 
 # ---------------------------------------------------------------------------
 # substage 2: inner decomposition
 
-def _inner_step(item: WorkItem, gen: FreshNominals):
-    row, f, a, s, s2 = _view(item)
+def _inner_step(item: WorkItem, view, gen: FreshNominals):
+    row, f, a, s, s2 = view
     if isinstance(f, Not):
-        return _res_not(item, Not(a))
+        return _res_not(item, view, Not(a))
     if type(f) not in row.residuate:
         return None
     rule, modality = row.residuate[type(f)]
@@ -374,13 +368,10 @@ def _inner_step(item: WorkItem, gen: FreshNominals):
 
 
 def reduce_inner(sys: System) -> System:
-    return _check_substage2(_rewrite(sys, _inner_step, "substage-2"))
-
-
-def _check_substage2(sys: System) -> System:
-    return _check(sys, "substage 2", "non-reducible head",
-                  lambda row, f, *_: _packs(row, f, sys.eps)
-                  or not has_critical_occurrence(f, row.sign, sys.eps))
+    return _rewrite(sys, _inner_step, "substage-2", "substage 2",
+                    "non-reducible head",
+                    lambda row, f, *_: _packs(row, f, sys.eps)
+                    or not has_critical_occurrence(f, row.sign, sys.eps))
 
 
 # ---------------------------------------------------------------------------

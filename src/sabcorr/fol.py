@@ -21,7 +21,7 @@ from .syntax import (
     And, Bot, Formula, Iff, Imp, Nom, Not, Or, Prop, Top, CONNECTIVES,
 )
 from .semantics import (
-    Ineq, MegaGuard, QuasiUQ, Statement, UQIneq,
+    Ineq, MegaGuard, QuasiUQ, Statement, UQIneq, value_of,
 )
 
 
@@ -204,10 +204,6 @@ def correspondent(quasis) -> FOFormula:
 # ---------------------------------------------------------------------------
 # evaluation
 
-class FOEvalError(ValueError):
-    pass
-
-
 # Evaluation reads every frame of one size at once.  A subformula's table
 # is (names, masks): names are its free names that a quantifier above it
 # binds, sorted, and masks holds one int per assignment of them, the first
@@ -217,19 +213,11 @@ class FOEvalError(ValueError):
 _Frames = namedtuple("_Frames", "n cells val")
 
 
-def _read(val: dict, name: str):
-    """A free name's world or a predicate's mask of worlds."""
-    if name not in val:
-        msg = f"no value for {name!r} in the valuation"
-        raise FOEvalError(msg)
-    return val[name]
-
-
 def _atom(frames, bound, terms, truth):
     """The table of an atom on terms; truth gives its mask at their
     worlds, read from the valuation where no quantifier binds them."""
     names = tuple(sorted(set(terms) & bound))
-    fixed = {t: _read(frames.val, t) for t in terms if t not in bound}
+    fixed = {t: value_of(frames.val, t) for t in terms if t not in bound}
     return names, [
         truth(*({**fixed, **dict(zip(names, worlds))}[t] for t in terms))
         for worlds in itertools.product(range(frames.n), repeat=len(names))]
@@ -284,7 +272,7 @@ _TABLE = {
         frames, bound, (f.a, f.b), lambda a, b: frames.cells.get((a, b), 0)),
     Pred: lambda frames, bound, f: _atom(
         frames, bound, (f.t,),
-        lambda w: -1 if _read(frames.val, f.name) >> w & 1 else 0),
+        lambda w: -1 if value_of(frames.val, f.name) >> w & 1 else 0),
     FONot: _connective(operator.invert),
     FOAnd: _connective(lambda *ms: functools.reduce(operator.and_, ms, -1)),
     FOOr: _connective(lambda *ms: functools.reduce(operator.or_, ms, 0)),

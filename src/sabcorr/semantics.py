@@ -11,6 +11,8 @@ A valuation is a plain dict: each proposition maps to the bit mask of its
 worlds and each nominal to its world.  The names never collide, since the
 parser rejects propositions named like the nominals i0, i1, ...  Binding a
 nominal builds a new dict, so a caller's valuation is never changed.
+`value_of` reads every name; one the valuation does not bind raises
+EvalError.
 """
 
 from __future__ import annotations
@@ -53,19 +55,20 @@ class KripkeFrame:
         return range(self.n)
 
 
-def nominal(val: dict, name: str) -> int:
-    """The world of a nominal in a valuation."""
+def value_of(val: dict, name: str) -> int:
+    """A name's value in a valuation: a nominal's world or a proposition's
+    mask of worlds."""
     try:
         return val[name]
     except KeyError:
-        msg = f"uninterpreted nominal {name!r}"
+        msg = f"no value for {name!r} in the valuation"
         raise EvalError(msg) from None
 
 
 def edges_of(val: dict, s: EdgeLabelSet) -> frozenset:
     if not s:
         return EMPTY_EDGES
-    return frozenset((nominal(val, a), nominal(val, b)) for a, b in s)
+    return frozenset((value_of(val, a), value_of(val, b)) for a, b in s)
 
 
 def _pre(pairs, mask: int) -> int:
@@ -123,8 +126,8 @@ def _junction(op):
 _EXTENSION = {
     Bot: lambda frame, val, deleted, f: 0,
     Top: lambda frame, val, deleted, f: frame.full,
-    Prop: lambda frame, val, deleted, f: val.get(f.name, 0),
-    Nom: lambda frame, val, deleted, f: 1 << nominal(val, f.name),
+    Prop: lambda frame, val, deleted, f: value_of(val, f.name),
+    Nom: lambda frame, val, deleted, f: 1 << value_of(val, f.name),
     Not: lambda frame, val, deleted, f: (
         extension(frame, val, deleted, f.child) ^ frame.full),
     And: _junction(lambda a, b, full: a & b),

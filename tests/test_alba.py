@@ -200,11 +200,20 @@ def test_outer_splitting_and_res_not():
 
 def test_outer_stage_error_on_stuck_item():
     # +or on the right has no substage-1 rule and +or is not inner, so a
-    # critical variable under it leaves the item stuck
-    sys = _sys([_mk((), Ineq(Nom("i0"), Or(p, p)), "rhs")], eps={"p": "1"})
+    # critical variable under it leaves the item stuck.  The scan still
+    # rewrites the item after it, and names the first of two stuck items
+    sys = _sys([_mk((), Ineq(Nom("i0"), Or(p, p)), "rhs"),
+                _mk((), Ineq(Nom("i0"), Dia(q)), "rhs"),
+                _mk((), Ineq(Nom("i0"), Or(q, q)), "rhs")],
+               eps={"p": "1", "q": "1"})
     with pytest.raises(StageError) as exc:
         reduce_outer(sys)
     assert exc.value.stage == "substage 1"
+    assert str(exc.value) == "substage 1: stuck item i0 <=^{}_{} p | p"
+    assert [step.as_dict() for step in sys.trace] == [
+        {"stage": "substage-1", "rule": "approx-dia",
+         "consumed": ["i0 <=^{}_{} <>q"],
+         "produced": ["i2 <=^{}_{} q", "i0 <=^{}_{} dia^{} i2"]}]
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +263,22 @@ def test_inner_terminal_head_untouched():
 
 
 def test_inner_stage_error_on_bad_head():
-    # +dia head with a critical variable cannot be decomposed in substage 2
-    sys = _sys([_mk((), Ineq(Nom("i0"), Dia(p)), "rhs")])
+    # +dia head with a critical variable cannot be decomposed in substage
+    # 2.  The scan still rewrites the item after it, and names the first
+    # of two bad heads
+    sys = _sys([_mk((), Ineq(Nom("i0"), Dia(p)), "rhs"),
+                _mk((), Ineq(Nom("i0"), Box(q)), "rhs"),
+                _mk((), Ineq(Nom("i0"), Dia(q)), "rhs")],
+               eps={"p": "1", "q": "1"})
     with pytest.raises(StageError) as exc:
         reduce_inner(sys)
     assert exc.value.stage == "substage 2"
+    assert str(exc.value) == (
+        "substage 2: non-reducible head i0 <=^{}_{} <>p")
+    assert [step.as_dict() for step in sys.trace] == [
+        {"stage": "substage-2", "rule": "res-box",
+         "consumed": ["i0 <=^{}_{} []q"],
+         "produced": ["inv-dia^{} i0 <=^{}_{} q"]}]
 
 
 # ---------------------------------------------------------------------------

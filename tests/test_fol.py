@@ -13,13 +13,13 @@ from sabcorr.syntax import (
     parse_inequality,
 )
 from sabcorr.semantics import (
-    Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq,
+    EvalError, Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq,
     closure as close_statement, frame_valid, statement_props, valuations,
 )
 from sabcorr.alba import AlbaSuccess, run_alba
 from sabcorr.cli import load_corpus
 from sabcorr.fol import (
-    Eq, FOAnd, FOEvalError, FOExists, FOForall, FOImp, FONot, FOOr, Pred,
+    Eq, FOAnd, FOExists, FOForall, FOImp, FONot, FOOr, Pred,
     Rel, as_json, correspondent, emit_fo, eval_fo, fo_and, holds_on_frame,
     simplify, st_formula, st_statement, _VarGen,
 )
@@ -122,10 +122,10 @@ def test_eval_fo_reads_nominals_from_valuation():
     loop = KripkeFrame(1, frozenset({(0, 0)}))
     v = {"i1": 0}
     assert eval_fo([loop], v, Rel("i1", "i1")) == 1
-    with pytest.raises(FOEvalError):
+    with pytest.raises(EvalError):
         eval_fo([loop], {}, Rel("i9", "i9"))
     # a predicate with no valuation is an error, not the empty set
-    with pytest.raises(FOEvalError):
+    with pytest.raises(EvalError):
         eval_fo([loop], v, Pred("p", "i1"))
 
 
@@ -195,9 +195,9 @@ def test_holds_on_frame():
     # free names are closed universally, by the caller
     two = KripkeFrame(2, frozenset({(0, 0)}))
     assert holds_on_frame([two], closure(Rel("i1", "i1"))) == 0
-    with pytest.raises(FOEvalError):
+    with pytest.raises(EvalError):
         holds_on_frame([two], Rel("i1", "i1"))
-    with pytest.raises(FOEvalError):
+    with pytest.raises(EvalError):
         holds_on_frame([two], FOForall("x", Pred("p", "x")))
 
 

@@ -213,6 +213,17 @@ def test_unbound_nominal_raises_where_a_pointwise_reading_skipped_it(f):
         eval_statement(empty, {}, Ineq(Top(), f))
 
 
+def test_unbound_variable_raises():
+    # a variable the valuation does not bind is an error, not the empty
+    # set: frame_valid over a subset of the variables raises too
+    frame = KripkeFrame(2, frozenset({(0, 1)}))
+    with pytest.raises(EvalError, match="no value for 'q' in the valuation"):
+        extension(frame, {"p": 1}, frozenset(), Or(p, q))
+    with pytest.raises(EvalError, match="no value for 'q' in the valuation"):
+        frame_valid(frame, Ineq(p, q), ["p"])
+    assert not frame_valid(frame, Ineq(p, q))
+
+
 def test_frame_validation():
     with pytest.raises(ValueError):
         KripkeFrame(0, frozenset())
