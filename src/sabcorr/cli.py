@@ -10,8 +10,7 @@ from .syntax import (
     ParseError, eliminate_iff, parse_inequality, print_formula, props_of,
 )
 from .semantics import (
-    FRAME_CAP, Ineq, closure as close_statement, enumerate_frames,
-    frame_valid, print_statement,
+    FRAME_CAP, Ineq, enumerate_frames, frame_valid, print_statement,
 )
 from .sahlqvist import (
     critical_branches, find_order_type, is_epsilon_sahlqvist,
@@ -136,13 +135,12 @@ def _check(ineq: Ineq, fo, classes):
     (frame, orbit) of each list in classes, whose frames share one size.
     Both verdicts are the same on every frame of a class.  The simplified
     correspondent, which has no free names, is checked once per list."""
-    statement = close_statement(ineq)
     vars = sorted(props_of(ineq.lhs) | props_of(ineq.rhs))
     sentence = simplify(fo)
     for size in classes:
         holds = holds_on_frame([frame for frame, _ in size], sentence)
         for k, (frame, orbit) in enumerate(size):
-            yield (frame, orbit, frame_valid(frame, statement, vars),
+            yield (frame, orbit, frame_valid(frame, ineq, vars),
                    bool(holds >> k & 1))
 
 

@@ -1,18 +1,15 @@
-"""Finite Kripke semantics with edge deletion, for formulas and statements.
+"""Finite Kripke semantics with edge deletion, and ALBA's statements.
 
-`extension` evaluates a formula to the bit mask of the worlds where it
-holds, world w at bit w, by one mask rule per node class.  [] <> [!] <!>
-read the current relation (r0 minus the accumulated deleted edges);
-labeled modalities box^S / dia^S and their inverses read r0 minus the
-edges denoted by S, ignoring deletions; A quantifies over all worlds under
-the current relation.
+`extension` evaluates a formula of the base language, the one the parser
+accepts, to the bit mask of the worlds where it holds, world w at bit w, by
+one mask rule per node class.  [] <> [!] <!> read the current relation (r0
+minus the accumulated deleted edges).  ALBA's expanded language and its
+statements other than an unlabelled Ineq get their meaning from the
+standard translation, `fol.st_statement`; here they raise EvalError.
 
-A valuation is a plain dict: each proposition maps to the bit mask of its
-worlds and each nominal to its world.  The names never collide, since the
-parser rejects propositions named like the nominals i0, i1, ...  Binding a
-nominal builds a new dict, so a caller's valuation is never changed.
-`value_of` reads every name; one the valuation does not bind raises
-EvalError.
+A valuation is a plain dict from each proposition to the bit mask of its
+worlds.  `value_of` reads every name; one the valuation does not bind
+raises EvalError.
 """
 
 from __future__ import annotations
@@ -22,9 +19,9 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .syntax import (
-    And, Bot, Formula, Iff, Imp, Nom, Not, Or, Prop, Top,
-    CONNECTIVES, EMPTY_EDGES, EdgeLabelSet, nominals_of, print_edge_set,
-    print_formula, props_of,
+    And, Bot, Formula, Iff, Imp, Not, Or, Prop, Top,
+    CONNECTIVES, EMPTY_EDGES, EdgeLabelSet, print_edge_set, print_formula,
+    props_of,
 )
 
 FRAME_CAP = 4
@@ -50,25 +47,15 @@ class KripkeFrame:
                 raise ValueError(msg)
         object.__setattr__(self, "full", (1 << self.n) - 1)
 
-    @property
-    def worlds(self):
-        return range(self.n)
-
 
 def value_of(val: dict, name: str) -> int:
-    """A name's value in a valuation: a nominal's world or a proposition's
-    mask of worlds."""
+    """A name's value in a valuation: a proposition's mask of worlds, or,
+    for `fol.eval_fo`, a nominal's world."""
     try:
         return val[name]
     except KeyError:
         msg = f"no value for {name!r} in the valuation"
         raise EvalError(msg) from None
-
-
-def edges_of(val: dict, s: EdgeLabelSet) -> frozenset:
-    if not s:
-        return EMPTY_EDGES
-    return frozenset((value_of(val, a), value_of(val, b)) for a, b in s)
 
 
 def _pre(pairs, mask: int) -> int:
@@ -80,7 +67,7 @@ def _pre(pairs, mask: int) -> int:
     return out
 
 
-# One rule per range of a quantifying connective (`syntax.Connective.range`):
+# One rule per range of a base-language modality (`syntax.Connective.range`):
 # masks whose union is where the node's existential reading holds, each mask
 # of the child XORed with `flip`.  A universal node passes flip = every world
 # and complements the union, since forall is not exists not.
@@ -91,17 +78,6 @@ RANGES = {
     "edge": lambda frame, val, deleted, f, flip: (
         extension(frame, val, deleted | {e}, f.child) ^ flip
         for e in frame.r0 - deleted),
-    "label": lambda frame, val, deleted, f, flip: (_pre(
-        frame.r0 - edges_of(val, f.s),
-        extension(frame, val, deleted, f.child) ^ flip),),
-    "inv": lambda frame, val, deleted, f, flip: (_pre(
-        [(v, u) for u, v in frame.r0 - edges_of(val, f.s)],
-        extension(frame, val, deleted, f.child) ^ flip),),
-    "world": lambda frame, val, deleted, f, flip: (
-        frame.full if extension(frame, val, deleted, f.child) ^ flip else 0,),
-    "nom": lambda frame, val, deleted, f, flip: (
-        extension(frame, {**val, f.nom: v}, deleted, f.child) ^ flip
-        for v in frame.worlds),
 }
 
 
@@ -122,28 +98,33 @@ def _junction(op):
         extension(frame, val, deleted, f.right), frame.full)
 
 
-# One mask rule per node class: its extension from its children's.
+# One mask rule per base-language node class: its extension from its
+# children's.
 _EXTENSION = {
     Bot: lambda frame, val, deleted, f: 0,
     Top: lambda frame, val, deleted, f: frame.full,
     Prop: lambda frame, val, deleted, f: value_of(val, f.name),
-    Nom: lambda frame, val, deleted, f: 1 << value_of(val, f.name),
     Not: lambda frame, val, deleted, f: (
         extension(frame, val, deleted, f.child) ^ frame.full),
     And: _junction(lambda a, b, full: a & b),
     Or: _junction(lambda a, b, full: a | b),
     Imp: _junction(lambda a, b, full: a ^ full | b),
     Iff: _junction(lambda a, b, full: a ^ b ^ full),
-    **dict.fromkeys((c for c, row in CONNECTIVES.items() if row.range),
-                    _quantify),
+    **dict.fromkeys((c for c, row in CONNECTIVES.items()
+                     if row.range in RANGES), _quantify),
 }
 
 
 def extension(frame: KripkeFrame, val: dict, deleted: frozenset,
               f: Formula) -> int:
     """The bit mask of the worlds where f holds, the edges in deleted taken
-    out of the current relation."""
-    return _EXTENSION[type(f)](frame, val, deleted, f)
+    out of the current relation; f is in the base language."""
+    try:
+        rule = _EXTENSION[type(f)]
+    except KeyError:
+        msg = f"the modal check has no rule for {print_formula(f)}"
+        raise EvalError(msg) from None
+    return rule(frame, val, deleted, f)
 
 
 # ---------------------------------------------------------------------------
@@ -184,30 +165,19 @@ class QuasiUQ(Statement):
 
 
 def eval_statement(frame: KripkeFrame, val: dict, s: Statement) -> bool:
-    if isinstance(s, Ineq):
-        return not (extension(frame, val, edges_of(val, s.sup), s.lhs)
-                    & ~extension(frame, val, edges_of(val, s.sub), s.rhs))
-    if isinstance(s, MegaGuard):
-        rel = frame.r0 - edges_of(val, s.s)
-        return all(eval_statement(frame, {**val, s.m0: w, s.m1: v}, s.body)
-                   for (w, v) in rel)
-    if isinstance(s, UQIneq):
-        return all(eval_statement(frame, {**val, **dict(zip(s.binders, ws))},
-                                  s.body)
-                   for ws in itertools.product(frame.worlds,
-                                               repeat=len(s.binders)))
-    if isinstance(s, QuasiUQ):
-        if all(eval_statement(frame, val, p) for p in s.premises):
-            return eval_statement(frame, val, s.conclusion)
-        return True
-    msg = f"cannot evaluate statement {s!r}"
-    raise EvalError(msg)
+    """Whether the unlabelled inequality s holds under val.  Any other
+    statement raises EvalError: its meaning is `fol.st_statement`'s."""
+    if type(s) is not Ineq or s.sup or s.sub:
+        msg = ("the modal check reads unlabelled inequalities only, not "
+               f"{print_statement(s)}")
+        raise EvalError(msg)
+    return not (extension(frame, val, EMPTY_EDGES, s.lhs)
+                & ~extension(frame, val, EMPTY_EDGES, s.rhs))
 
 
-# The statement table: per class, its formulas, its sub-statements, the
-# nominal pairs of its edge labels, the names it binds, and how to copy a
-# statement with new formulas and sub-statements.
-_Row = namedtuple("_Row", "formulas parts edges binds rebuild")
+# The statement table: per class, its formulas, its sub-statements, and how
+# to copy a statement with new formulas and sub-statements.
+_Row = namedtuple("_Row", "formulas parts rebuild")
 
 
 def _none(s):
@@ -215,14 +185,13 @@ def _none(s):
 
 
 STATEMENTS = {
-    Ineq: _Row(lambda s: (s.lhs, s.rhs), _none, lambda s: (*s.sup, *s.sub),
-               _none, lambda s, fs, ps: Ineq(*fs, s.sup, s.sub)),
-    MegaGuard: _Row(_none, lambda s: (s.body,), lambda s: s.s,
-                    lambda s: (s.m0, s.m1),
+    Ineq: _Row(lambda s: (s.lhs, s.rhs), _none,
+               lambda s, fs, ps: Ineq(*fs, s.sup, s.sub)),
+    MegaGuard: _Row(_none, lambda s: (s.body,),
                     lambda s, fs, ps: MegaGuard(s.m0, s.m1, s.s, *ps)),
-    UQIneq: _Row(_none, lambda s: (s.body,), _none, lambda s: s.binders,
+    UQIneq: _Row(_none, lambda s: (s.body,),
                  lambda s, fs, ps: UQIneq(s.binders, *ps)),
-    QuasiUQ: _Row(_none, lambda s: (*s.premises, s.conclusion), _none, _none,
+    QuasiUQ: _Row(_none, lambda s: (*s.premises, s.conclusion),
                   lambda s, fs, ps: QuasiUQ(ps[:-1], ps[-1])),
 }
 
@@ -233,15 +202,6 @@ def statement_props(s: Statement) -> frozenset:
                              *map(statement_props, row.parts(s)))
 
 
-def statement_nominals(s: Statement) -> frozenset:
-    """Free nominal names of a statement."""
-    row = STATEMENTS[type(s)]
-    names = frozenset(n for pair in row.edges(s) for n in pair)
-    names = names.union(*map(nominals_of, row.formulas(s)),
-                        *map(statement_nominals, row.parts(s)))
-    return names - set(row.binds(s))
-
-
 def map_formulas(s: Statement, fn) -> Statement:
     """s with fn applied to every formula in it, at any depth."""
     row = STATEMENTS[type(s)]
@@ -250,25 +210,16 @@ def map_formulas(s: Statement, fn) -> Statement:
 
 
 def valuations(frame: KripkeFrame, props):
-    """Every valuation of `props` on the frame, with no nominals, each a
-    fresh dict.  Each name maps to a bit mask of worlds, ascending; the
+    """Every valuation of `props` on the frame, each a fresh dict.  Each
+    name maps to a bit mask of worlds, ascending; the
     first name varies slowest."""
     for masks in itertools.product(range(1 << frame.n), repeat=len(props)):
         yield dict(zip(props, masks))
 
 
-def closure(s) -> Statement:
-    """s as a closed statement: a bare formula phi becomes top <= phi, and
-    free nominals are bound by one UQIneq, the first sorted name outermost."""
-    if isinstance(s, Formula):
-        s = Ineq(Top(), s)
-    free_noms = tuple(sorted(statement_nominals(s)))
-    return UQIneq(free_noms, s) if free_noms else s
-
-
 def frame_valid(frame: KripkeFrame, s: Statement, vars=None) -> bool:
-    """True iff the closed statement s holds under every valuation of vars,
-    by default its propositions; free nominals are the caller's to close."""
+    """True iff the unlabelled inequality s holds under every valuation of
+    vars, by default its propositions."""
     vars = sorted(statement_props(s)) if vars is None else vars
     return all(eval_statement(frame, val, s)
                for val in valuations(frame, vars))

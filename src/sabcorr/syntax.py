@@ -11,8 +11,8 @@ in signed generation trees, the sign of each child, the signs at which it
 is an outer or an inner node, how it is printed and parsed, and, for a
 modality or a nominal quantifier, its quantifier and the range it
 quantifies over.  Adding a connective means adding its class and
-its row here; a new range also needs its mask rule in `semantics.RANGES`
-and its translation rule in `fol.RANGES`.
+its row here; a new range also needs its translation rule in `fol.RANGES`,
+and a new range in the base language its mask rule in `semantics.RANGES`.
 """
 
 from __future__ import annotations
@@ -188,9 +188,9 @@ class Connective:
     quantifier, range: given together as `quantifies` by a modality or a
     nominal quantifier, 'exists' or 'forall' and the name of the points
     it quantifies over (succ, edge, label, inv, world, nom); per range,
-    `semantics.RANGES` gives the world masks whose union is its
-    existential reading and `fol.RANGES` its standard translation.  None
-    for other nodes.
+    `fol.RANGES` gives its standard translation, and for the base ranges
+    succ and edge `semantics.RANGES` gives the world masks whose union is
+    its existential reading.  None for other nodes.
     children, rebuild: read the children of a node, and copy a node with
     new children.
     """
@@ -469,21 +469,6 @@ def occurrence_signs(f: Formula, sign: str) -> dict:
         else:
             row = CONNECTIVES[type(g)]
             stack += zip(row.children(g), row.signs[s])
-    return out
-
-
-def nominals_of(f: Formula) -> frozenset:
-    """Free nominal names of f, including those inside edge labels."""
-    if isinstance(f, Nom):
-        return frozenset({f.name})
-    row = CONNECTIVES[type(f)]
-    out = frozenset()
-    for g in row.children(f):
-        out |= nominals_of(g)
-    if row.range in _LABELLED:
-        out |= {n for pair in f.s for n in pair}
-    elif row.range == "nom":
-        out -= {f.nom}
     return out
 
 

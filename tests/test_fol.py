@@ -14,7 +14,7 @@ from sabcorr.syntax import (
 )
 from sabcorr.semantics import (
     EvalError, Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq,
-    closure as close_statement, frame_valid, statement_props, valuations,
+    statement_props, valuations,
 )
 from sabcorr.alba import AlbaSuccess, run_alba
 from sabcorr.cli import load_corpus
@@ -28,7 +28,7 @@ from fo_equiv import (
     closure, fo_equiv_on_small_frames, free_names, pred_names,
     translate_formula,
 )
-from frames import labelled_frames
+from frames import labelled_frames, oracle_holds
 from test_golden import _bench_module
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sahlqvist.txt"
@@ -208,9 +208,10 @@ def test_closure_binds_free_names_first_sorted_outermost():
 
 
 def test_modal_and_fo_closures_agree():
-    # closure binds free nominals with a UQIneq, fol.closure binds free
-    # names with FOForall; both checks quantify over valuations;
-    # every statement here has a proposition and a free nominal
+    # the oracle reads a UQIneq binding i1 and i2, the free nominals here
+    # or unread; closure binds the free names of the translation with
+    # FOForall; both checks quantify over valuations; every statement here
+    # has a proposition and a free nominal
     statements = [
         Ineq(And(Nom("i1"), p), Dia(p)),
         Ineq(Nom("i1"), Box(p), sup=frozenset({("i1", "i2")})),
@@ -222,12 +223,14 @@ def test_modal_and_fo_closures_agree():
     for s in statements:
         vars = sorted(statement_props(s))
         fo = st_statement(s)
+        closed = UQIneq(("i1", "i2"), s)
         verdicts = set()
         for n in (1, 2):
             frames = list(labelled_frames(n))
             mask = _holds_under_every_valuation(frames, closure(fo), vars)
             for k, frame in enumerate(frames):
-                valid = frame_valid(frame, close_statement(s), vars)
+                valid = all(oracle_holds(frame, val, closed)
+                            for val in valuations(frame, vars))
                 assert bool(mask >> k & 1) == valid, (s, frame)
                 verdicts.add(valid)
         assert verdicts == {True, False}, s

@@ -1,8 +1,7 @@
-"""Kripke semantics tests against an independent extension-set oracle.
-
-The oracle computes the extension (set of satisfying worlds) of a formula
-bottom-up over an explicit relation, recursing on the relation itself for
-the deletion modalities.  It shares no code with sabcorr.semantics.
+"""Kripke semantics tests against the independent extension-set oracle
+`frames.oracle_ext`: the mask evaluator on the base language, and ALBA's
+expanded language and statements through their standard translation,
+`fol.st_statement`, the one place the program gives them a meaning.
 """
 
 import itertools
@@ -12,102 +11,27 @@ import pytest
 
 from sabcorr.syntax import (
     And, Bot, Box, Dia, ExistsNom, ForallNom, GBox, Imp, InvLBox,
-    InvLDia, LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top, EMPTY_EDGES,
+    InvLDia, LDia, Nom, Not, Or, Prop, SBox, SDia, Top, EMPTY_EDGES,
 )
 from sabcorr.semantics import (
     EvalError, Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq,
-    closure, edges_of, enumerate_frames, eval_statement,
-    extension, frame_valid, STATEMENTS, Statement, map_formulas,
-    print_statement, statement_nominals, statement_props, valuations,
+    enumerate_frames, eval_statement, extension, frame_valid, STATEMENTS,
+    Statement, map_formulas, print_statement, statement_props, valuations,
+)
+from sabcorr.fol import eval_fo, holds_on_frame, simplify, st_statement
+
+from fo_equiv import translate_formula
+from frames import (
+    labelled_frames, oracle_ext, oracle_holds, satisfies, valuation,
 )
 
-from frames import labelled_frames, satisfies, valuation
-
 p, q = Prop("p"), Prop("q")
-
-
-# ---------------------------------------------------------------------------
-# independent oracle
-
-def oracle_ext(f, worlds, r0, rel, props, noms):
-    """Worlds where f holds; rel is the current relation, r0 the baseline."""
-    if isinstance(f, Bot):
-        return set()
-    if isinstance(f, Top):
-        return set(worlds)
-    if isinstance(f, Prop):
-        return set(props.get(f.name, set()))
-    if isinstance(f, Nom):
-        return {noms[f.name]}
-    if isinstance(f, Not):
-        return set(worlds) - oracle_ext(f.child, worlds, r0, rel, props, noms)
-    if isinstance(f, And):
-        return (oracle_ext(f.left, worlds, r0, rel, props, noms)
-                & oracle_ext(f.right, worlds, r0, rel, props, noms))
-    if isinstance(f, Or):
-        return (oracle_ext(f.left, worlds, r0, rel, props, noms)
-                | oracle_ext(f.right, worlds, r0, rel, props, noms))
-    if isinstance(f, Imp):
-        return ((set(worlds)
-                 - oracle_ext(f.left, worlds, r0, rel, props, noms))
-                | oracle_ext(f.right, worlds, r0, rel, props, noms))
-    if isinstance(f, Dia):
-        good = oracle_ext(f.child, worlds, r0, rel, props, noms)
-        return {w for w in worlds if any((w, v) in rel for v in good)}
-    if isinstance(f, Box):
-        good = oracle_ext(f.child, worlds, r0, rel, props, noms)
-        return {w for w in worlds
-                if all(v in good for (u, v) in rel if u == w)}
-    if isinstance(f, SDia):
-        return {w for w in worlds
-                if any(w in oracle_ext(f.child, worlds, r0, rel - {e},
-                                       props, noms) for e in rel)}
-    if isinstance(f, SBox):
-        return {w for w in worlds
-                if all(w in oracle_ext(f.child, worlds, r0, rel - {e},
-                                       props, noms) for e in rel)}
-    if isinstance(f, (LDia, LBox, InvLDia, InvLBox)):
-        labeled = r0 - {(noms[a], noms[b]) for (a, b) in f.s}
-        good = oracle_ext(f.child, worlds, r0, rel, props, noms)
-        if isinstance(f, LDia):
-            return {w for w in worlds
-                    if any((w, v) in labeled for v in good)}
-        if isinstance(f, LBox):
-            return {w for w in worlds
-                    if all(v in good for (u, v) in labeled if u == w)}
-        if isinstance(f, InvLDia):
-            return {w for w in worlds
-                    if any((v, w) in labeled for v in good)}
-        return {w for w in worlds
-                if all(u in good for (u, v) in labeled if v == w)}
-    if isinstance(f, GBox):
-        good = oracle_ext(f.child, worlds, r0, rel, props, noms)
-        return set(worlds) if good == set(worlds) else set()
-    if isinstance(f, ExistsNom):
-        out = set()
-        for v in worlds:
-            out |= oracle_ext(f.child, worlds, r0, rel, props,
-                              {**noms, f.nom: v})
-        return out
-    if isinstance(f, ForallNom):
-        out = set(worlds)
-        for v in worlds:
-            out &= oracle_ext(f.child, worlds, r0, rel, props,
-                              {**noms, f.nom: v})
-        return out
-    raise AssertionError(f)
 
 
 _POOL = [
     Top(), Bot(), p, Not(p), And(p, q), Or(p, Not(q)), Imp(p, q),
     Dia(p), Box(p), SDia(p), SBox(p), Dia(Box(p)), SDia(Top()),
-    SBox(Dia(p)), SDia(SDia(Top())), Box(SDia(Top())), Nom("i1"),
-    LDia(frozenset({("i1", "i2")}), Top()),
-    LBox(frozenset({("i1", "i2")}), p),
-    InvLDia(EMPTY_EDGES, Nom("i1")), InvLBox(EMPTY_EDGES, p),
-    InvLDia(frozenset({("i2", "i1")}), p),
-    GBox(Imp(Nom("i1"), Dia(p))),
-    ExistsNom("i3", And(Nom("i3"), p)), ForallNom("i3", Or(Nom("i3"), Top())),
+    SBox(Dia(p)), SDia(SDia(Top())), Box(SDia(Top())),
 ]
 
 
@@ -122,31 +46,39 @@ def _subsets(items):
             for c in itertools.combinations(items, k)]
 
 
-def _valuations(frame, prop_names=("p", "q"), nom_names=("i1", "i2")):
-    worlds = list(frame.worlds)
+def _valuations(frame, prop_names=("p", "q"), nom_names=()):
+    worlds = range(frame.n)
     for pv in itertools.product(_subsets(worlds), repeat=len(prop_names)):
         for nv in itertools.product(worlds, repeat=len(nom_names)):
             yield valuation(dict(zip(prop_names, pv)),
                             dict(zip(nom_names, nv)))
 
 
-def _oracle_world_sets(val, worlds):
-    # _valuations binds the propositions p and q; the other names are nominals
-    props = {k: {w for w in worlds if val[k] >> w & 1} for k in "pq"}
-    return props, {k: w for k, w in val.items() if k not in props}
+def _sizes(max_n):
+    for n in range(1, max_n + 1):
+        yield list(labelled_frames(n))
+
+
+def _meaning(frames, val, s):
+    """The mask of the frames, all of one size, where s holds under val by
+    its standard translation, checked frame by frame against the oracle."""
+    mask = eval_fo(frames, val, st_statement(s))
+    for k, frame in enumerate(frames):
+        assert mask >> k & 1 == oracle_holds(frame, val, s), (frame, val, s)
+    return mask
 
 
 def test_satisfies_matches_oracle_exhaustively():
     # extension under every deleted set, not only the empty one: the
     # oracle reads the current relation r0 minus the deleted edges
     for frame in _frames(2):
-        worlds = set(frame.worlds)
+        worlds = set(range(frame.n))
         for val in _valuations(frame):
-            props, noms = _oracle_world_sets(val, worlds)
+            props = {k: {w for w in worlds if val[k] >> w & 1} for k in "pq"}
             for deleted in _subsets(frame.r0):
                 rel = set(frame.r0 - deleted)
                 for f in _POOL:
-                    ext = oracle_ext(f, worlds, frame.r0, rel, props, noms)
+                    ext = oracle_ext(f, worlds, frame.r0, rel, props, {})
                     assert extension(frame, val, deleted, f) == \
                         sum(1 << w for w in ext), (frame, val, deleted, f)
                     if not deleted:
@@ -157,25 +89,17 @@ def test_satisfies_matches_oracle_exhaustively():
 
 def test_ineq_with_edge_labels_matches_oracle():
     # lhs <=^sup_sub rhs: lhs under r0 minus sup inside rhs under r0 minus
-    # sub, the labels read through the nominals
+    # sub, the labels read through the nominals, by the translation
     labels = [EMPTY_EDGES, frozenset({("i1", "i2")}),
               frozenset({("i2", "i1"), ("i1", "i1")})]
     sides = [(Dia(p), p), (Nom("i1"), SDia(Top())), (SBox(Dia(p)), Box(q)),
              (p, LDia(frozenset({("i1", "i2")}), Nom("i2")))]
-    for frame in _frames(2):
-        worlds = set(frame.worlds)
-        for val in _valuations(frame):
-            props, noms = _oracle_world_sets(val, worlds)
-
-            def ext(f, s):
-                rel = frame.r0 - {(noms[a], noms[b]) for a, b in s}
-                return oracle_ext(f, worlds, frame.r0, rel, props, noms)
+    for frames in _sizes(2):
+        for val in _valuations(frames[0], nom_names=("i1", "i2")):
             for sup, sub in itertools.product(labels, repeat=2):
-                if not (sup or sub):
-                    continue
-                for lhs, rhs in sides:
-                    got = eval_statement(frame, val, Ineq(lhs, rhs, sup, sub))
-                    assert got == (ext(lhs, sup) <= ext(rhs, sub))
+                if sup or sub:
+                    for lhs, rhs in sides:
+                        _meaning(frames, val, Ineq(lhs, rhs, sup, sub))
 
 
 def test_satisfies_examples():
@@ -184,15 +108,15 @@ def test_satisfies_examples():
     v = {}
     assert satisfies(loop, v, frozenset(), 0, SDia(Top()))
     assert satisfies(empty, v, frozenset(), 0, SBox(Bot()))
-    v2 = {"i1": 0, "i2": 0}
-    assert not satisfies(loop, v2, frozenset(), 0,
-                         LDia(frozenset({("i1", "i2")}), Top()))
 
 
 def test_uninterpreted_nominal_raises():
+    # the modal check reads the base language only, so a nominal raises
+    # even where the valuation binds it
     f = KripkeFrame(1, frozenset())
-    with pytest.raises(EvalError):
-        satisfies(f, {}, frozenset(), 0, Nom("i9"))
+    for val in ({}, {"i9": 0}):
+        with pytest.raises(EvalError, match="no rule for i9"):
+            satisfies(f, val, frozenset(), 0, Nom("i9"))
 
 
 @pytest.mark.parametrize("f", [
@@ -201,11 +125,10 @@ def test_uninterpreted_nominal_raises():
     GBox(Or(Top(), Nom("i9"))),
 ])
 def test_unbound_nominal_raises_where_a_pointwise_reading_skipped_it(f):
-    # a mask evaluates both sides of a junction, and the child of <>, [],
-    # the labelled modalities and A once for every world, even where no
-    # world has a successor; so an unbound nominal raises where a
-    # world-at-a-time reading never reached it.  Statements that reach
-    # frame_valid are closed
+    # a mask evaluates both sides of a junction, and the child of <> and []
+    # once for every world, even where no world has a successor; so a
+    # nominal, or a connective of the expanded language, raises where a
+    # world-at-a-time reading never reached it
     empty = KripkeFrame(1, frozenset())
     with pytest.raises(EvalError):
         satisfies(empty, {}, frozenset(), 0, f)
@@ -238,56 +161,73 @@ def test_eval_statement_examples():
     for frame in _frames(2):
         assert eval_statement(frame, {}, Ineq(Bot(), Top()))
     frame = KripkeFrame(2, frozenset({(0, 1)}))
-    val = {"i": 0, "j": 1}
-    assert eval_statement(frame, val,
-                          Ineq(Nom("i"), LDia(EMPTY_EDGES, Nom("j"))))
-    loop = KripkeFrame(1, frozenset({(0, 0)}))
-    mg = MegaGuard("i", "j", EMPTY_EDGES, Ineq(Nom("i"), Nom("j")))
-    assert eval_statement(loop, {}, mg)
+    assert eval_statement(frame, {"p": 0b10}, Ineq(Dia(p), Top()))
+    assert not eval_statement(frame, {"p": 0b10}, Ineq(Top(), Dia(p)))
+
+
+def test_eval_statement_refuses_labels_and_other_statements():
+    # read with its labels dropped, the labelled inequality would hold;
+    # read with them, it fails: so it raises, as every other form does
+    frame = KripkeFrame(2, frozenset({(0, 1)}))
+    val = {"p": 0b01, "i1": 0, "i2": 1}
+    s12 = frozenset({("i1", "i2")})
+    assert eval_statement(frame, val, Ineq(p, Dia(Top())))
+    assert not _meaning([frame], val, Ineq(p, Dia(Top()), sub=s12))
+    for s in (Ineq(p, Dia(Top()), sub=s12), Ineq(p, Dia(Top()), sup=s12),
+              MegaGuard("i1", "i2", EMPTY_EDGES, Ineq(p, p)),
+              UQIneq(("i1",), Ineq(p, p)), QuasiUQ((), Ineq(p, p))):
+        with pytest.raises(EvalError, match="unlabelled inequalities only"):
+            eval_statement(frame, val, s)
 
 
 def test_inequality_proposition_bullets():
     """The three bullets: nominal pair membership, pointwise evaluation,
     and the global guard shape all coincide with (V(i),V(j)) in r0 minus S."""
     s_label = frozenset({("i1", "i2")})
-    for frame in _frames(2):
-        for val in _valuations(frame):
+    for frames in _sizes(2):
+        for val in _valuations(frames[0], nom_names=("i1", "i2")):
             pair = (val["i1"], val["i2"])
-            in_reduced = pair in (frame.r0 - edges_of(val, s_label))
+            edges = frozenset((val[a], val[b]) for a, b in s_label)
+            in_reduced = sum(1 << k for k, frame in enumerate(frames)
+                             if pair in frame.r0 - edges)
             # (a) i <=^S_S dia^S j iff the pair is in r0 minus S
             ineq_a = Ineq(Nom("i1"), LDia(s_label, Nom("i2")),
                           s_label, s_label)
-            assert eval_statement(frame, val, ineq_a) == in_reduced
+            assert _meaning(frames, val, ineq_a) == in_reduced
             # (c) A(i -> dia^S j) iff the pair is in r0 minus S
             g = GBox(Imp(Nom("i1"), LDia(s_label, Nom("i2"))))
-            assert satisfies(frame, val, frozenset(), 0, g) == in_reduced
+            assert _meaning(frames, val, Ineq(Top(), g)) == in_reduced
             # (b) i <=^S_{S'} alpha iff alpha holds at V(i) under S'
             for alpha in (Dia(p), SDia(Top()), Box(q)):
                 ineq_b = Ineq(Nom("i1"), alpha, EMPTY_EDGES, s_label)
-                deleted = edges_of(val, s_label) & frame.r0
-                assert eval_statement(frame, val, ineq_b) == \
-                    satisfies(frame, val, deleted, val["i1"], alpha)
+                assert _meaning(frames, val, ineq_b) == sum(
+                    1 << k for k, frame in enumerate(frames)
+                    if satisfies(frame, val, edges & frame.r0, val["i1"],
+                                 alpha))
 
 
 def test_uq_and_quasi():
     frame = KripkeFrame(2, frozenset({(0, 1), (1, 0)}))
     val = {}
     uq = UQIneq(("i1",), Ineq(Nom("i1"), Dia(Top())))
-    assert eval_statement(frame, val, uq)
+    assert _meaning([frame], val, uq)
     one_way = KripkeFrame(2, frozenset({(0, 1)}))
-    assert not eval_statement(one_way, val, uq)
+    assert not _meaning([one_way], val, uq)
     quasi = QuasiUQ((uq,), Ineq(Top(), Dia(Top())))
-    assert eval_statement(frame, val, quasi)
-    assert eval_statement(one_way, val, quasi)  # premise fails
+    assert _meaning([frame], val, quasi)
+    assert _meaning([one_way], val, quasi)  # premise fails
+    loop = KripkeFrame(1, frozenset({(0, 0)}))
+    mg = MegaGuard("i1", "i2", EMPTY_EDGES, Ineq(Nom("i1"), Nom("i2")))
+    assert _meaning([loop], val, mg)
+    assert not _meaning([frame], val, mg)
 
 
 def test_statement_inventories():
     mg = MegaGuard("i1", "i2", frozenset({("i3", "i4")}),
                    Ineq(p, Nom("i1"), EMPTY_EDGES, frozenset({("i5", "i6")})))
     assert statement_props(mg) == {"p"}
-    assert statement_nominals(mg) == {"i3", "i4", "i5", "i6"}
     uq = UQIneq(("i5",), Ineq(Nom("i5"), Nom("i7")))
-    assert statement_nominals(uq) == {"i7"}
+    assert statement_props(uq) == frozenset()
 
 
 def test_every_statement_class_has_a_row():
@@ -300,7 +240,6 @@ def test_table_walks_reach_every_form():
     quasi = QuasiUQ((mg, Ineq(q, p), UQIneq(("i5",), Ineq(Nom("i5"), p))),
                     Ineq(Nom("i7"), p))
     assert statement_props(quasi) == {"p", "q"}
-    assert statement_nominals(quasi) == {"i3", "i4", "i5", "i6", "i7"}
     swapped = map_formulas(quasi, lambda f: q if f == p else f)
     assert swapped == QuasiUQ(
         (MegaGuard("i1", "i2", frozenset({("i3", "i4")}),
@@ -316,21 +255,24 @@ def test_table_walks_reach_every_form():
 def test_frame_valid_examples():
     loop = KripkeFrame(1, frozenset({(0, 0)}))
     empty = KripkeFrame(1, frozenset())
-    assert frame_valid(loop, closure(Imp(Box(p), p)))
-    assert not frame_valid(empty, closure(Imp(Box(p), p)))
-    assert frame_valid(empty, closure(Imp(SDia(Top()), Dia(Top()))))
+    assert frame_valid(loop, Ineq(Box(p), p))
+    assert not frame_valid(empty, Ineq(Box(p), p))
+    assert frame_valid(empty, Ineq(SDia(Top()), Dia(Top())))
     one_way = KripkeFrame(2, frozenset({(0, 1)}))
-    assert not frame_valid(one_way, closure(Imp(Box(p), SBox(p))))
+    assert not frame_valid(one_way, Ineq(Box(p), SBox(p)))
 
 
 def test_frame_valid_closes_nominals_universally():
     loop = KripkeFrame(1, frozenset({(0, 0)}))
     two = KripkeFrame(2, frozenset({(0, 0)}))
+    # simplify closes the free names of a translation universally, as a
+    # UQIneq binds them; the modal check refuses the nominal
     s = Ineq(Nom("i1"), Dia(Top()))
-    assert closure(s) == UQIneq(("i1",), s)
-    assert closure(Dia(p)) == Ineq(Top(), Dia(p))
-    assert frame_valid(loop, closure(s))
-    assert not frame_valid(two, closure(s))  # i1 = 1 has no successor
+    for frame, valid in ((loop, True), (two, False)):  # i1 = 1 has no successor
+        assert holds_on_frame([frame], simplify(st_statement(s))) == valid
+        assert oracle_holds(frame, {}, UQIneq(("i1",), s)) == valid
+    with pytest.raises(EvalError):
+        frame_valid(loop, s)
 
 
 def test_binding_leaves_the_callers_valuation_alone():
@@ -339,12 +281,13 @@ def test_binding_leaves_the_callers_valuation_alone():
     val = {"p": 0b01, "i1": 1}
     before = dict(val)
     body = Ineq(Nom("i2"), Dia(Top()))
-    assert eval_statement(frame, val, UQIneq(("i2", "i3"), body))
-    assert eval_statement(frame, val, MegaGuard("i2", "i3", EMPTY_EDGES, body))
-    assert extension(frame, val, frozenset(),
-                     ExistsNom("i2", And(Nom("i2"), p))) == 0b01
-    assert extension(frame, val, frozenset(),
-                     ForallNom("i2", Or(Nom("i2"), Top()))) == frame.full
+    assert _meaning([frame], val, UQIneq(("i2", "i3"), body))
+    assert _meaning([frame], val, MegaGuard("i2", "i3", EMPTY_EDGES, body))
+    exists = ExistsNom("i2", And(Nom("i2"), p))
+    assert _meaning([frame], val, Ineq(exists, p))
+    assert _meaning([frame], val, Ineq(p, exists))
+    assert _meaning([frame], val,
+                    Ineq(Top(), ForallNom("i2", Or(Nom("i2"), Top()))))
     assert val == before
 
 
@@ -361,7 +304,7 @@ def test_valuations_are_fresh_dicts():
 def test_valuations_count_and_mask_order():
     frame = KripkeFrame(2, frozenset())
     subsets = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
-    got = [tuple(frozenset(w for w in frame.worlds if v[k] >> w & 1)
+    got = [tuple(frozenset(w for w in range(frame.n) if v[k] >> w & 1)
                  for k in "pq") for v in valuations(frame, ["p", "q"])]
     assert got == list(itertools.product(subsets, repeat=2))
     for n in (1, 2, 3):
@@ -423,12 +366,6 @@ def test_enumerate_frames_four_worlds_by_relabelling_edge_sets():
     assert covered == set(range(1 << (n * n)))
 
 
-def test_edges_of_the_empty_label_set():
-    assert edges_of({}, EMPTY_EDGES) == frozenset()
-    with pytest.raises(EvalError):
-        edges_of({}, frozenset({("i0", "i1")}))
-
-
 # ---------------------------------------------------------------------------
 # semantic invariants
 
@@ -436,31 +373,28 @@ def test_sabotage_duality():
     for frame in _frames(2):
         for val in _valuations(frame):
             for f in (p, Dia(p), SDia(Top()), And(p, q)):
-                for w in frame.worlds:
+                for w in range(frame.n):
                     assert satisfies(frame, val, frozenset(), w, SDia(f)) == \
                         (not satisfies(frame, val, frozenset(), w,
                                        SBox(Not(f))))
 
 
 def test_context_irrelevance_for_context_free_formulas():
+    # without [] <> [!] <!>, the translation, the program's reading of the
+    # expanded nodes, is the same under any deleted pairs
     cf = [Top(), p, Not(And(p, Nom("i1"))),
           LDia(frozenset({("i1", "i2")}), p), GBox(p),
           InvLBox(EMPTY_EDGES, q), ExistsNom("i3", Nom("i3"))]
-    for frame in _frames(2):
-        for val in _valuations(frame):
-            for f in cf:
-                for w in frame.worlds:
-                    base = satisfies(frame, val, frozenset(), w, f)
-                    for k in range(len(frame.r0) + 1):
-                        for dele in itertools.combinations(frame.r0, k):
-                            assert satisfies(frame, val, frozenset(dele),
-                                             w, f) == base
+    for f in cf:
+        for deleted in ((("y", "z"),), (("i1", "i2"), ("i2", "i2"))):
+            assert translate_formula(f, "x", deleted) == \
+                translate_formula(f), f
 
 
 def test_monotonicity():
     pos = [p, Dia(p), Box(p), SDia(p), SBox(p), And(p, q), Or(p, q)]
     for frame in _frames(2):
-        worlds = list(frame.worlds)
+        worlds = range(frame.n)
         subsets = [frozenset(c) for k in range(len(worlds) + 1)
                    for c in itertools.combinations(worlds, k)]
         for small in subsets:

@@ -9,7 +9,7 @@ from sabcorr.syntax import (
     And, Bot, Box, Dia, ExistsNom, ForallNom, GBox, Iff, Imp, InvLBox,
     InvLDia, LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top,
     CONNECTIVES, EMPTY_EDGES, PREFIX, Formula, FreshNominals, ParseError,
-    all_names_of, children, eliminate_iff, is_fixed, nominals_of,
+    all_names_of, children, eliminate_iff, is_fixed,
     occurrence_signs, parse_formula, parse_inequality, print_formula,
     props_of, substitute_prop,
 )
@@ -42,8 +42,10 @@ def test_every_formula_class_has_a_row():
     for cls in quantifying:
         row = CONNECTIVES[cls]
         assert row.quantifier in ("exists", "forall"), cls
-        assert row.range in semantics.RANGES, cls
         assert row.range in fol.RANGES, cls
+    # the modal check has mask rules for the ranges the parser reads only
+    assert set(semantics.RANGES) == {"succ", "edge"} == {
+        row.range for row in CONNECTIVES.values() if row.range and row.token}
     assert all(row.quantifier is None for cls, row in CONNECTIVES.items()
                if cls not in quantifying)
 
@@ -99,6 +101,21 @@ def test_parse_rejects_reserved_nominal_idents():
     assert parse_formula("ia") == Prop("ia")
 
 
+def test_expanded_nodes_print_but_do_not_parse():
+    # every node with no parser token but a proposition is ALBA's alone:
+    # the modal check reads the base language only
+    s12 = frozenset({("i1", "i2")})
+    samples = [Nom("i1"), LDia(s12, p), LBox(EMPTY_EDGES, p),
+               InvLDia(s12, p), InvLBox(EMPTY_EDGES, p), GBox(p),
+               ForallNom("i1", Nom("i1")), ExistsNom("i1", p)]
+    assert {type(f) for f in samples} == {
+        cls for cls, row in CONNECTIVES.items()
+        if row.token is None and cls is not Prop}
+    for f in samples:
+        with pytest.raises(ParseError):
+            parse_formula(print_formula(f))
+
+
 def test_parse_inequality_forms():
     assert parse_inequality("p <= q") == (p, q)
     assert parse_inequality("<>p -> p") == (Dia(p), p)
@@ -147,19 +164,16 @@ def test_print_parse_round_trip(f):
 def test_props_and_nominals():
     f = And(p, SDia(Or(q, Nom("i1"))))
     assert props_of(f) == {"p", "q"}
-    assert nominals_of(f) == {"i1"}
+    assert all_names_of(f) == {"i1"}
     g = ExistsNom("i2", And(Nom("i2"), LDia(frozenset({("i3", "i4")}), Top())))
-    assert nominals_of(g) == {"i3", "i4"}
     assert all_names_of(g) == {"i2", "i3", "i4"}
-    assert nominals_of(ForallNom("i5", Nom("i5"))) == frozenset()
     h = And(LBox(frozenset({("i1", "i2")}), p),
             InvLDia(frozenset({("i3", "i1")}), Nom("i6")))
     assert props_of(h) == {"p"}
-    assert nominals_of(h) == all_names_of(h) == {"i1", "i2", "i3", "i6"}
+    assert all_names_of(h) == {"i1", "i2", "i3", "i6"}
     k = ForallNom("i7", InvLBox(frozenset({("i7", "i8")}),
                                 GBox(Or(q, Nom("i9")))))
     assert props_of(k) == {"q"}
-    assert nominals_of(k) == {"i8", "i9"}
     assert all_names_of(k) == {"i7", "i8", "i9"}
 
 
