@@ -9,7 +9,9 @@ which keeps the statements themselves and prints them only when read.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import attrgetter
@@ -17,8 +19,8 @@ from operator import attrgetter
 from .syntax import (
     And, Bot, Box, Dia, ExistsNom, ForallNom, Formula, GBox, Imp, InvLBox,
     InvLDia, LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top,
-    CONNECTIVES, EMPTY_EDGES, FreshNominals, _rebuild, all_names_of, children,
-    eliminate_iff, is_fixed, occurrence_signs, props_of, substitute_prop,
+    CONNECTIVES, EMPTY_EDGES, _rebuild, children, eliminate_iff, is_fixed,
+    occurrence_signs, props_of, substitute_prop,
 )
 from .semantics import (
     Ineq, MegaGuard, QuasiUQ, Statement, UQIneq, map_formulas,
@@ -97,7 +99,7 @@ def _show(item) -> str:
 class System:
     items: list
     goal: Ineq
-    gen: FreshNominals
+    gen: Iterator  # fresh nominals i0, i1, ... in order
     eps: dict
     trace: list
 
@@ -247,7 +249,7 @@ def preprocess(ineq: Ineq, trace=None) -> list:
 # ---------------------------------------------------------------------------
 # first approximation
 
-def first_approximation(pre: Ineq, gen: FreshNominals, eps: dict,
+def first_approximation(pre: Ineq, gen: Iterator, eps: dict,
                         i0: str, i1: str, trace: list) -> System:
     a = _mk((), Ineq(Nom(i0), pre.lhs), "rhs")
     b = _mk((), Ineq(pre.rhs, Not(Nom(i1))), "lhs")
@@ -284,7 +286,7 @@ def _res_not(item: WorkItem, view, anchor: Formula):
                            new.name)]
 
 
-def _outer_step(item: WorkItem, view, gen: FreshNominals):
+def _outer_step(item: WorkItem, view, gen: Iterator):
     row, f, a, s, s2 = view
     i = _anchor_nominal(row, a)
     if i is None:
@@ -292,7 +294,7 @@ def _outer_step(item: WorkItem, view, gen: FreshNominals):
     if isinstance(f, Not):
         return _res_not(item, view, _SIDES[row.other].anchor(i))
     if isinstance(f, Imp) and item.active == "lhs":
-        j, k = gen.fresh(), gen.fresh()
+        j, k = next(gen), next(gen)
         return "approx-imp", [
             _mk((), Ineq(Nom(j), f.left, s, s), "rhs"),
             _mk((), Ineq(f.right, Not(Nom(k)), s, s), "lhs"),
@@ -301,10 +303,10 @@ def _outer_step(item: WorkItem, view, gen: FreshNominals):
         return None
     rule, modality = row.approx[type(f)]
     if modality:
-        j = row.anchor(Nom(gen.fresh()))  # j or ~j for a fresh j
+        j = row.anchor(Nom(next(gen)))  # j or ~j for a fresh j
         return rule, [_mk((), row.make(f.child, j, s, s), row.name),
                       _mk((), row.make(modality(s, j), a, s, s2), row.name)]
-    m0, m1 = gen.fresh(), gen.fresh()
+    m0, m1 = next(gen), next(gen)
     return rule, [
         _mk((), Ineq(Nom(m0), LDia(s, Nom(m1)), s, s), "rhs"),
         _mk((), row.make(f.child, a, s | {(m0, m1)}, s2), row.name)]
@@ -352,7 +354,7 @@ def reduce_outer(sys: System) -> System:
 # ---------------------------------------------------------------------------
 # substage 2: inner decomposition
 
-def _inner_step(item: WorkItem, view, gen: FreshNominals):
+def _inner_step(item: WorkItem, view, gen: Iterator):
     row, f, a, s, s2 = view
     if isinstance(f, Not):
         return _res_not(item, view, Not(a))
@@ -362,7 +364,7 @@ def _inner_step(item: WorkItem, view, gen: FreshNominals):
     if modality:
         return rule, [_mk(item.guards,
                           row.make(f.child, modality(s, a), s, s2), row.name)]
-    m0, m1 = gen.fresh(), gen.fresh()
+    m0, m1 = next(gen), next(gen)
     return rule, [_mk(item.guards + (Guard(m0, m1, s),),
                       row.make(f.child, a, s | {(m0, m1)}, s2), row.name)]
 
@@ -501,6 +503,10 @@ class AlbaFailure:
 
 
 def run_alba(ineq: Ineq, order_type=None):
+    """ALBA on ineq, a base-language Ineq as the parser returns it, under
+    order_type or, when it is None, the one `find_order_type` picks: an
+    AlbaSuccess or an AlbaFailure naming the stage.  The input has no
+    nominal, so the fresh ones are i0, i1, ... in order."""
     ineq = Ineq(eliminate_iff(ineq.lhs), eliminate_iff(ineq.rhs))
     trace: list = []
     eps = dict(order_type) if order_type is not None else find_order_type(ineq)
@@ -511,9 +517,8 @@ def run_alba(ineq: Ineq, order_type=None):
     if missing:
         return AlbaFailure(f"order type misses variables {sorted(missing)}",
                            "classify", tuple(trace))
-    reserved = set(all_names_of(ineq.lhs)) | set(all_names_of(ineq.rhs))
-    gen = FreshNominals(reserved)
-    i0, i1 = gen.fresh(), gen.fresh()
+    gen = map("i{}".format, itertools.count())
+    i0, i1 = next(gen), next(gen)
     pre = preprocess(ineq, trace)
     try:
         # pre is Iff-free and `missing` found eps covering its variables

@@ -87,16 +87,6 @@ def fo_and(parts) -> FOFormula:
     return FOAnd(parts)
 
 
-class _VarGen:
-    def __init__(self):
-        self.count = 0
-
-    def fresh(self) -> str:
-        name = f"y{self.count}"
-        self.count += 1
-        return name
-
-
 def _guard(x: str, y: str, pairs) -> list:
     """The atoms saying that (x,y) is an edge of r0 and none of the pairs."""
     return [Rel(x, y), *(FONot(FOAnd((Eq(x, v), Eq(y, w))))
@@ -109,27 +99,27 @@ def _guard(x: str, y: str, pairs) -> list:
 # deleted pairs at which its child is translated.
 
 def _succ(gen, x, e, f):
-    y = gen.fresh()
+    y = next(gen)
     return (y,), _guard(x, y, e), y, e
 
 
 def _edge(gen, x, e, f):
-    y, z = gen.fresh(), gen.fresh()
+    y, z = next(gen), next(gen)
     return (y, z), _guard(y, z, e), x, e + ((y, z),)
 
 
 def _label(gen, x, e, f):
-    y = gen.fresh()
+    y = next(gen)
     return (y,), _guard(x, y, tuple(sorted(f.s))), y, e
 
 
 def _inv(gen, x, e, f):
-    y = gen.fresh()
+    y = next(gen)
     return (y,), _guard(y, x, tuple(sorted(f.s))), y, e
 
 
 def _world(gen, x, e, f):
-    y = gen.fresh()
+    y = next(gen)
     return (y,), [], y, e
 
 
@@ -145,7 +135,7 @@ _BINARY = {And: lambda a, b: FOAnd((a, b)), Or: lambda a, b: FOOr((a, b)),
            Imp: FOImp, Iff: lambda a, b: FOAnd((FOImp(a, b), FOImp(b, a)))}
 
 
-def st_formula(f: Formula, x: str, e: tuple, gen: _VarGen) -> FOFormula:
+def st_formula(f: Formula, x: str, e: tuple, gen) -> FOFormula:
     if isinstance(f, Bot):
         return FONot(Eq(x, x))
     if isinstance(f, Top):
@@ -172,7 +162,7 @@ def st_formula(f: Formula, x: str, e: tuple, gen: _VarGen) -> FOFormula:
     return out
 
 
-def _st_statement(s: Statement, gen: _VarGen) -> FOFormula:
+def _st_statement(s: Statement, gen) -> FOFormula:
     if isinstance(s, Ineq):
         return FOForall("x", FOImp(
             st_formula(s.lhs, "x", tuple(sorted(s.sup)), gen),
@@ -194,7 +184,7 @@ def _st_statement(s: Statement, gen: _VarGen) -> FOFormula:
 
 
 def st_statement(s: Statement) -> FOFormula:
-    return _st_statement(s, _VarGen())
+    return _st_statement(s, map("y{}".format, itertools.count()))
 
 
 def correspondent(quasis) -> FOFormula:

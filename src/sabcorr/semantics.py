@@ -1,15 +1,16 @@
 """Finite Kripke semantics with edge deletion, and ALBA's statements.
 
 `extension` evaluates a formula of the base language, the one the parser
-accepts, to the bit mask of the worlds where it holds, world w at bit w, by
-one mask rule per node class.  [] <> [!] <!> read the current relation (r0
-minus the accumulated deleted edges).  ALBA's expanded language and its
-statements other than an unlabelled Ineq get their meaning from the
-standard translation, `fol.st_statement`; here they raise EvalError.
+accepts, to the bit mask of the worlds where it holds, by one mask rule per
+node class.  [] <> [!] <!> read the current relation (r0 minus the
+accumulated deleted edges).  ALBA's expanded language and its statements
+other than an unlabelled Ineq get their meaning from the standard
+translation, `fol.st_statement`; here they raise EvalError.
 
-A valuation is a plain dict from each proposition to the bit mask of its
-worlds.  `value_of` reads every name; one the valuation does not bind
-raises EvalError.
+A mask holds one block of `frame.width` bits per world, world w's at bit
+w*width, and bit v of a block reads valuation v; width 1 is the plain mask,
+world w at bit w.  A valuation maps each proposition to its mask, and
+`value_of` reads it; a name it does not bind raises EvalError.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .syntax import (
 )
 
 FRAME_CAP = 4
+# One block of a mask reads at most 2^BLOCK_BITS valuations.
+BLOCK_BITS = 16
 
 
 class EvalError(ValueError):
@@ -35,6 +38,7 @@ class EvalError(ValueError):
 class KripkeFrame:
     n: int
     r0: frozenset
+    width: int = 1  # bits per world: one per valuation read at once
     full: int = field(init=False, repr=False, compare=False)  # every world
 
     def __post_init__(self):
@@ -45,7 +49,7 @@ class KripkeFrame:
             if not (0 <= a < self.n and 0 <= b < self.n):
                 msg = f"edge ({a},{b}) out of range for n={self.n}"
                 raise ValueError(msg)
-        object.__setattr__(self, "full", (1 << self.n) - 1)
+        object.__setattr__(self, "full", (1 << self.n * self.width) - 1)
 
 
 def value_of(val: dict, name: str) -> int:
@@ -58,12 +62,14 @@ def value_of(val: dict, name: str) -> int:
         raise EvalError(msg) from None
 
 
-def _pre(pairs, mask: int) -> int:
-    """The worlds u with an arrow (u, v) in pairs to some v in mask."""
+def _pre(frame, pairs, mask: int) -> int:
+    """The worlds u with an arrow (u, v) in pairs to some v in mask: world
+    v's block of mask moved to world u's, per valuation."""
+    width = frame.width
+    block = (1 << width) - 1
     out = 0
     for u, v in pairs:
-        if mask >> v & 1:
-            out |= 1 << u
+        out |= (mask >> v * width & block) << u * width
     return out
 
 
@@ -73,7 +79,7 @@ def _pre(pairs, mask: int) -> int:
 # and complements the union, since forall is not exists not.
 RANGES = {
     "succ": lambda frame, val, deleted, f, flip: (_pre(
-        frame.r0 - deleted if deleted else frame.r0,
+        frame, frame.r0 - deleted if deleted else frame.r0,
         extension(frame, val, deleted, f.child) ^ flip),),
     "edge": lambda frame, val, deleted, f, flip: (
         extension(frame, val, deleted | {e}, f.child) ^ flip
@@ -87,8 +93,6 @@ def _quantify(frame, val, deleted, f):
     out = 0
     for mask in RANGES[row.range](frame, val, deleted, f, flip):
         out |= mask
-        if out == frame.full:
-            break
     return out ^ flip
 
 
@@ -209,20 +213,31 @@ def map_formulas(s: Statement, fn) -> Statement:
                        tuple(map_formulas(p, fn) for p in row.parts(s)))
 
 
-def valuations(frame: KripkeFrame, props):
-    """Every valuation of `props` on the frame, each a fresh dict.  Each
-    name maps to a bit mask of worlds, ascending; the
-    first name varies slowest."""
-    for masks in itertools.product(range(1 << frame.n), repeat=len(props)):
-        yield dict(zip(props, masks))
-
-
 def frame_valid(frame: KripkeFrame, s: Statement, vars=None) -> bool:
     """True iff the unlabelled inequality s holds under every valuation of
-    vars, by default its propositions."""
+    vars, by default its propositions.  Valuation v gives the j-th of k
+    names the worlds in bits n*(k-1-j) .. of v, so the first name varies
+    slowest.  Each `eval_statement` call reads one chunk of valuations,
+    those that share the bits of v past the first BLOCK_BITS, all at once:
+    bit b < BLOCK_BITS of v, as a block, has runs of 2^b ones every
+    2^(b+1) bits, and a later bit is a block of all ones or none."""
     vars = sorted(statement_props(s)) if vars is None else vars
-    return all(eval_statement(frame, val, s)
-               for val in valuations(frame, vars))
+    n, k = frame.n, len(vars)
+    runs, width = [], 1  # each block doubled, and one more bit
+    for _ in range(min(n * k, BLOCK_BITS)):
+        runs = [r | r << width for r in runs] + [(1 << width) - 1 << width]
+        width *= 2
+    wide = KripkeFrame(n, frame.r0, width)
+    ones = (1 << width) - 1
+    high = n * k - len(runs)  # the bits of v that number the chunks
+    for chunk in range(1 << high):
+        bits = runs + [ones if chunk >> c & 1 else 0 for c in range(high)]
+        val = {name: sum(bits[n * (k - 1 - j) + w] << w * width
+                         for w in range(n))
+               for j, name in enumerate(vars)}
+        if not eval_statement(wide, val, s):
+            return False
+    return True
 
 
 def _subset_sums(units, zero):

@@ -4,7 +4,9 @@ queries.
 The parser accepts the base sabotage modal language only.  The expanded
 constructors (nominals, labeled modalities, inverses, global modalities,
 nominal quantifiers) are produced internally by the rewrite engine and are
-printable but not parseable.
+printable but not parseable; the parser rejects the nominal names i0, i1,
+..., so the engine issues them in order without reading its input for
+them.
 
 `CONNECTIVES` is the one place that says what each node class is: its label
 in signed generation trees, the sign of each child, the signs at which it
@@ -263,9 +265,8 @@ CONNECTIVES = {row.cls: row for row in (
 )}
 
 
-# Ranges that read the current relation, and ranges with an edge label.
+# Ranges that read the current relation.
 _CONTEXTUAL = ("succ", "edge")
-_LABELLED = ("label", "inv")
 
 
 def children(f: Formula) -> tuple:
@@ -472,23 +473,6 @@ def occurrence_signs(f: Formula, sign: str) -> dict:
     return out
 
 
-def all_names_of(f: Formula) -> frozenset:
-    """Every nominal name appearing in f, bound or free."""
-    out = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        row = CONNECTIVES[type(g)]
-        if isinstance(g, Nom):
-            out.add(g.name)
-        elif row.range in _LABELLED:
-            out.update(n for pair in g.s for n in pair)
-        elif row.range == "nom":
-            out.add(g.nom)
-        stack.extend(row.children(g))
-    return frozenset(out)
-
-
 def is_fixed(f: Formula) -> bool:
     """True iff f is pure and context-free: it has no propositional
     variable and none of the contextual connectives [] <> [!] <!>, so its
@@ -518,23 +502,4 @@ def substitute_prop(f: Formula, name: str, g: Formula) -> Formula:
     if not kids:
         return f
     return _rebuild(f, tuple(substitute_prop(c, name, g) for c in kids))
-
-
-# ---------------------------------------------------------------------------
-# fresh nominals
-
-class FreshNominals:
-    """Monotone counter i0, i1, i2, ... skipping reserved names."""
-
-    def __init__(self, reserved=()):
-        self.reserved = set(reserved)
-        self._next = 0
-
-    def fresh(self) -> str:
-        while True:
-            name = f"i{self._next}"
-            self._next += 1
-            if name not in self.reserved:
-                self.reserved.add(name)
-                return name
 

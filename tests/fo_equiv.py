@@ -6,13 +6,11 @@ formula."""
 
 import itertools
 
-from sabcorr.semantics import valuations
 from sabcorr.fol import (
     Eq, FOExists, FOForall, Pred, Rel, eval_fo, st_formula, _fo_children,
-    _VarGen,
 )
 
-from frames import labelled_frames
+from frames import labelled_frames, valuations
 
 
 def free_names(f):
@@ -44,7 +42,7 @@ def pred_names(f):
 def translate_formula(f, x="x", e=()):
     """The standard translation of the modal formula f at the point x, the
     label pairs in e deleted from the relation."""
-    return st_formula(f, x, e, _VarGen())
+    return st_formula(f, x, e, map("y{}".format, itertools.count()))
 
 
 def fo_equiv_on_small_frames(f1, f2, max_n=3, vars=()):

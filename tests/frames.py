@@ -1,8 +1,8 @@
 """Every labelled frame, for tests that need them all and as the reference
 for `semantics.enumerate_frames`, which yields one frame per isomorphism
-class; valuations built from world sets; truth at one world; and
-`oracle_ext` and `oracle_holds`, the reference reading of ALBA's expanded
-language and statements."""
+class; every valuation of some names, one at a time, and valuations built
+from world sets; truth at one world; and `oracle_ext` and `oracle_holds`,
+the reference reading of ALBA's expanded language and statements."""
 
 import itertools
 
@@ -26,6 +26,14 @@ def labelled_frames(n):
     for mask in range(1 << (n * n)):
         edges = frozenset(cells[k] for k in range(n * n) if mask >> k & 1)
         yield KripkeFrame(n, edges)
+
+
+def valuations(frame, props):
+    """Every valuation of `props` on the frame, each a fresh dict.  Each
+    name maps to a bit mask of worlds, ascending; the first name varies
+    slowest."""
+    for masks in itertools.product(range(1 << frame.n), repeat=len(props)):
+        yield dict(zip(props, masks))
 
 
 def valuation(props=None, noms=None):

@@ -12,7 +12,7 @@ from pathlib import Path
 from sabcorr.syntax import (
     And, Bot, Box, Dia, ExistsNom, ForallNom, GBox, Imp, InvLBox,
     InvLDia, LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top, EMPTY_EDGES,
-    FreshNominals, is_fixed, parse_inequality,
+    is_fixed, parse_inequality,
 )
 from sabcorr.semantics import (
     Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq, frame_valid,
@@ -540,8 +540,8 @@ def test_criterion_8_stage_postconditions(capsys):
         for label, iq in entries:
             eps = find_order_type(iq)
             assert eps is not None, label
-            gen = FreshNominals()
-            i0, i1 = gen.fresh(), gen.fresh()
+            gen = map("i{}".format, itertools.count())
+            i0, i1 = next(gen), next(gen)
             pre = preprocess(iq)
             for one in pre:
                 # after stage 1: definite epsilon-Sahlqvist

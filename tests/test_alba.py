@@ -3,15 +3,16 @@ packing, Ackermann elimination, full runs and trace replay."""
 
 import functools
 import hashlib
+import itertools
 import json
+import re
 from collections import Counter
 
 import pytest
 
 from sabcorr.syntax import (
     And, Bot, Box, Dia, ExistsNom, GBox, Imp, InvLBox, InvLDia, LBox, LDia,
-    Nom, Not, Or, Prop, SBox, SDia, Top, EMPTY_EDGES, FreshNominals,
-    parse_inequality,
+    Nom, Not, Or, Prop, SBox, SDia, Top, EMPTY_EDGES, parse_inequality,
 )
 from sabcorr.semantics import (
     Ineq, UQIneq, frame_valid, print_statement,
@@ -37,8 +38,8 @@ def ineq(text):
     return Ineq(lhs, rhs)
 
 
-def _sys(items, eps=None, reserved=("i0", "i1")):
-    gen = FreshNominals(set(reserved))
+def _sys(items, eps=None):
+    gen = map("i{}".format, itertools.count(2))  # past the goal's i0, i1
     return System(list(items), Ineq(Nom("i0"), Not(Nom("i1"))), gen,
                   eps or {"p": "1"}, [])
 
@@ -128,8 +129,8 @@ def test_preprocess_equivalent_on_small_frames():
 # first approximation
 
 def test_first_approximation():
-    gen = FreshNominals()
-    i0, i1 = gen.fresh(), gen.fresh()
+    gen = map("i{}".format, itertools.count())
+    i0, i1 = next(gen), next(gen)
     sys = first_approximation(ineq("[]p <= p"), gen, {"p": "1"}, i0, i1, [])
     assert [it.ineq for it in sys.items] == \
         [Ineq(Nom("i0"), Box(p)), Ineq(p, Not(Nom("i1")))]
@@ -138,8 +139,8 @@ def test_first_approximation():
 
 
 def test_first_approximation_parks_pure_sides():
-    gen = FreshNominals()
-    i0, i1 = gen.fresh(), gen.fresh()
+    gen = map("i{}".format, itertools.count())
+    i0, i1 = next(gen), next(gen)
     sys = first_approximation(Ineq(Top(), SDia(Top())), gen, {}, i0, i1, [])
     assert sys.items[0].active == "none"  # i0 <= top is pure, context-free
     assert sys.items[1].active == "lhs"   # <!>top is contextual
@@ -489,6 +490,16 @@ def _replay_inputs():
 def _replay_runs():
     return [(src, must_succeed, run_alba(src))
             for src, must_succeed in _replay_inputs()]
+
+
+def test_fresh_nominals_in_order():
+    # one counter per run issues i0, i1, ... and every name it issues shows
+    # in the trace, so the nominals of a run are i0 .. i(m-1)
+    for src, _, result in _replay_runs():
+        issued = {int(n) for step in result.trace
+                  for text in (*step.consumed, *step.produced)
+                  for n in re.findall(r"\bi([0-9]+)\b", text)}
+        assert issued == set(range(len(issued))), print_statement(src)
 
 
 def test_trace_replay():

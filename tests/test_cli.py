@@ -152,9 +152,12 @@ def test_verify_pass_and_counts(capsys):
     assert "PASS over 530 frames" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("formula", ["<!>[]p -> []<!>p", "[!]p -> p"])
+@pytest.mark.parametrize("formula", [
+    "<!>[]p -> []<!>p", "[!]p -> p", "[](p -> q) -> ([]p -> []q)",
+    "<!>p & <>q -> <!>(p | q)", "<!>(p & q & r) -> <>p | <!>q | r"])
 def test_verify_at_the_advertised_bound(formula, capsys):
-    # four worlds reach the sabotage edge rule with up to 16 arrows
+    # four worlds reach the sabotage edge rule with up to 16 arrows, and
+    # the 2^(4*k) valuations of k variables on them
     assert main(["verify", "--formula", formula, "--max-worlds", "4"]) == 0
     assert capsys.readouterr().out == "PASS over 66066 frames (n <= 4)\n"
 

@@ -2,6 +2,7 @@
 emission tests."""
 
 import functools
+import itertools
 import json
 import re
 from pathlib import Path
@@ -14,21 +15,21 @@ from sabcorr.syntax import (
 )
 from sabcorr.semantics import (
     EvalError, Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq,
-    statement_props, valuations,
+    statement_props,
 )
 from sabcorr.alba import AlbaSuccess, run_alba
 from sabcorr.cli import load_corpus
 from sabcorr.fol import (
     Eq, FOAnd, FOExists, FOForall, FOImp, FONot, FOOr, Pred,
     Rel, as_json, correspondent, emit_fo, eval_fo, fo_and, holds_on_frame,
-    simplify, st_formula, st_statement, _VarGen,
+    simplify, st_formula, st_statement,
 )
 
 from fo_equiv import (
     closure, fo_equiv_on_small_frames, free_names, pred_names,
     translate_formula,
 )
-from frames import labelled_frames, oracle_holds
+from frames import labelled_frames, oracle_holds, valuations
 from test_golden import _bench_module
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sahlqvist.txt"
@@ -49,8 +50,7 @@ def test_st_formula_examples():
         "exists y0. (R(x,y0) & P_p(y0))"
     assert emit_fo(translate_formula(SDia(p))) == \
         "exists y0. exists y1. (R(y0,y1) & P_p(x))"
-    gen = _VarGen()
-    gen.fresh(), gen.fresh()
+    gen = map("y{}".format, itertools.count(2))
     out = st_formula(Dia(Top()), "x", (("y0", "y1"),), gen)
     assert emit_fo(out) == "exists y2. (R(x,y2) & ~(x = y0 & y2 = y1) & y2 = y2)"
 

@@ -9,6 +9,8 @@ from collections import Counter
 
 import pytest
 
+from sabcorr import semantics
+
 from sabcorr.syntax import (
     And, Bot, Box, Dia, ExistsNom, ForallNom, GBox, Imp, InvLBox,
     InvLDia, LDia, Nom, Not, Or, Prop, SBox, SDia, Top, EMPTY_EDGES,
@@ -16,14 +18,17 @@ from sabcorr.syntax import (
 from sabcorr.semantics import (
     EvalError, Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq,
     enumerate_frames, eval_statement, extension, frame_valid, STATEMENTS,
-    Statement, map_formulas, print_statement, statement_props, valuations,
+    Statement, map_formulas, print_statement, statement_props,
 )
+from sabcorr.cli import load_corpus
 from sabcorr.fol import eval_fo, holds_on_frame, simplify, st_statement
 
 from fo_equiv import translate_formula
 from frames import (
     labelled_frames, oracle_ext, oracle_holds, satisfies, valuation,
+    valuations,
 )
+from test_golden import ROOT
 
 p, q = Prop("p"), Prop("q")
 
@@ -182,12 +187,17 @@ def test_eval_statement_refuses_labels_and_other_statements():
 
 def test_inequality_proposition_bullets():
     """The three bullets: nominal pair membership, pointwise evaluation,
-    and the global guard shape all coincide with (V(i),V(j)) in r0 minus S."""
-    s_label = frozenset({("i1", "i2")})
+    and the global guard shape all coincide with (V(i),V(j)) in r0 minus S.
+    S = {(i1, i2)} always deletes the pair; S = {(i2, i1)} keeps it unless
+    V(i1) = V(i2), so both answers are read."""
+    labels = (frozenset({("i1", "i2")}), frozenset({("i2", "i1")}))
+    answers = set()
     for frames in _sizes(2):
-        for val in _valuations(frames[0], nom_names=("i1", "i2")):
+        vals = _valuations(frames[0], nom_names=("i1", "i2"))
+        for val, s_label in itertools.product(vals, labels):
             pair = (val["i1"], val["i2"])
             edges = frozenset((val[a], val[b]) for a, b in s_label)
+            answers.update(pair in frame.r0 - edges for frame in frames)
             in_reduced = sum(1 << k for k, frame in enumerate(frames)
                              if pair in frame.r0 - edges)
             # (a) i <=^S_S dia^S j iff the pair is in r0 minus S
@@ -204,6 +214,7 @@ def test_inequality_proposition_bullets():
                     1 << k for k, frame in enumerate(frames)
                     if satisfies(frame, val, edges & frame.r0, val["i1"],
                                  alpha))
+    assert answers == {False, True}
 
 
 def test_uq_and_quasi():
@@ -313,6 +324,56 @@ def test_valuations_count_and_mask_order():
             vals = list(valuations(frame, ["p", "q"][:k]))
             assert len(vals) == 2 ** (n * k)
             assert all(list(v) == ["p", "q"][:k] for v in vals)
+
+
+def _eval_calls(monkeypatch, frame, names):
+    """The (frame, valuation) pairs that frame_valid hands to
+    eval_statement, in order, for a statement over `names`."""
+    calls = []
+
+    def record(wide, val, s):
+        calls.append((wide, val))
+        return True
+    monkeypatch.setattr(semantics, "eval_statement", record)
+    assert frame_valid(frame, Ineq(Top(), Top()), names) is True
+    return calls
+
+
+@pytest.mark.parametrize("block_bits", [semantics.BLOCK_BITS, 2])
+def test_block_layout(monkeypatch, block_bits):
+    # bit v of world w's block of a name is bit w of its mask in the v-th
+    # valuation; the c-th call reads valuations c*width .. (c+1)*width - 1
+    monkeypatch.setattr(semantics, "BLOCK_BITS", block_bits)
+    for n, k in itertools.product((1, 2, 3), range(4)):
+        frame = KripkeFrame(n, frozenset())
+        names = ["p", "q", "r"][:k]
+        calls = _eval_calls(monkeypatch, frame, names)
+        width = calls[0][0].width
+        assert width == 2 ** min(n * k, block_bits)
+        assert len(calls) * width == 2 ** (n * k)
+        for v, expected in enumerate(valuations(frame, names)):
+            wide, val = calls[v // width]
+            assert (wide.n, wide.r0) == (frame.n, frame.r0)
+            assert list(val) == names
+            for name, w in itertools.product(names, range(n)):
+                assert (val[name] >> (w * width + v % width) & 1
+                        == expected[name] >> w & 1), (n, k, v, name, w)
+
+
+@pytest.mark.parametrize("block_bits", [semantics.BLOCK_BITS, 2])
+def test_frame_valid_matches_each_valuation(monkeypatch, block_bits):
+    # 2-bit blocks read every frame with n*k > 2 in chunks
+    monkeypatch.setattr(semantics, "BLOCK_BITS", block_bits)
+    corpus = [iq for _, iq in load_corpus(ROOT / "corpus" / "sahlqvist.txt")]
+    for n in (1, 2, 3):
+        for frame, _ in enumerate_frames(n):
+            for iq in corpus:
+                names = sorted(statement_props(iq))
+                valid = frame_valid(frame, iq)
+                assert type(valid) is bool
+                assert valid == all(oracle_holds(frame, val, iq)
+                                    for val in valuations(frame, names)), \
+                    (frame, print_statement(iq))
 
 
 def _edge_mask(n, edges):

@@ -1,5 +1,5 @@
-"""Connective-table, parser, printer, structural-query, sign-map and
-fresh-name tests."""
+"""Connective-table, parser, printer, structural-query and sign-map
+tests."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,10 +8,9 @@ from sabcorr import fol, semantics
 from sabcorr.syntax import (
     And, Bot, Box, Dia, ExistsNom, ForallNom, GBox, Iff, Imp, InvLBox,
     InvLDia, LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top,
-    CONNECTIVES, EMPTY_EDGES, PREFIX, Formula, FreshNominals, ParseError,
-    all_names_of, children, eliminate_iff, is_fixed,
-    occurrence_signs, parse_formula, parse_inequality, print_formula,
-    props_of, substitute_prop,
+    CONNECTIVES, EMPTY_EDGES, PREFIX, Formula, ParseError, children,
+    eliminate_iff, is_fixed, occurrence_signs, parse_formula,
+    parse_inequality, print_formula, props_of, substitute_prop,
 )
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
@@ -164,17 +163,14 @@ def test_print_parse_round_trip(f):
 def test_props_and_nominals():
     f = And(p, SDia(Or(q, Nom("i1"))))
     assert props_of(f) == {"p", "q"}
-    assert all_names_of(f) == {"i1"}
     g = ExistsNom("i2", And(Nom("i2"), LDia(frozenset({("i3", "i4")}), Top())))
-    assert all_names_of(g) == {"i2", "i3", "i4"}
+    assert props_of(g) == frozenset()
     h = And(LBox(frozenset({("i1", "i2")}), p),
             InvLDia(frozenset({("i3", "i1")}), Nom("i6")))
     assert props_of(h) == {"p"}
-    assert all_names_of(h) == {"i1", "i2", "i3", "i6"}
     k = ForallNom("i7", InvLBox(frozenset({("i7", "i8")}),
                                 GBox(Or(q, Nom("i9")))))
     assert props_of(k) == {"q"}
-    assert all_names_of(k) == {"i7", "i8", "i9"}
 
 
 def test_classification_predicates():
@@ -258,21 +254,3 @@ def test_occurrence_signs_composition(f):
     assert occurrence_signs(And(f, Top()), "+") == signs
     assert occurrence_signs(Or(f, Bot()), "+") == signs
 
-
-# ---------------------------------------------------------------------------
-# fresh nominals
-
-def test_fresh_nominals():
-    gen = FreshNominals()
-    assert gen.fresh() == "i0"
-    gen2 = FreshNominals({"i0", "i1"})
-    assert gen2.fresh() == "i2"
-    gen3 = FreshNominals()
-    issued = [gen3.fresh() for _ in range(5)]
-    assert issued[-1] == "i4"
-    assert len(set(issued)) == 5
-
-
-def test_fresh_skips_reserved_mid_run():
-    gen = FreshNominals({"i1"})
-    assert [gen.fresh() for _ in range(3)] == ["i0", "i2", "i3"]
