@@ -23,8 +23,7 @@ from .syntax import (
     occurrence_signs, props_of, substitute_prop,
 )
 from .semantics import (
-    Ineq, MegaGuard, QuasiUQ, Statement, UQIneq, map_formulas,
-    print_statement, statement_props,
+    Ineq, MegaGuard, QuasiUQ, Statement, UQIneq, map_formulas, print_statement,
 )
 from .sahlqvist import (
     JOIN, find_order_type, has_critical_occurrence, is_definite,
@@ -206,18 +205,20 @@ def split(q: Ineq, side: str):
 
 
 def preprocess(ineq: Ineq, trace=None) -> list:
-    """Stage 1: distribution, splitting and monotone variable elimination,
-    exhaustively.  Returns the list of resulting inequalities."""
-    pending = [ineq]
-    out = []
+    """Stage 1: distribution, then splitting and monotone variable
+    elimination, exhaustively.  Returns the list of resulting inequalities.
+
+    The input is distributed once, as no later rule puts a distributed
+    node over a join.  A split keeps the children of a join.  Uniform
+    elimination only lets a child Y take the place of an & or | node X at
+    Y's sign; were Y a join there, either X over Y was a pair that
+    distribution removes, or X was that join too, under the same parent."""
+    cur = Ineq(distribute(ineq.lhs, "+"), distribute(ineq.rhs, "-"))
+    if cur != ineq:
+        record(trace, "preprocess", "distribute", [ineq], [cur])
+    pending, out = [cur], []
     while pending:
         cur = pending.pop(0)
-        dl = distribute(cur.lhs, "+")
-        dr = distribute(cur.rhs, "-")
-        if dl != cur.lhs or dr != cur.rhs:
-            new = Ineq(dl, dr)
-            record(trace, "preprocess", "distribute", [cur], [new])
-            cur = new
         halves = split(cur, "rhs") or split(cur, "lhs")
         if halves:
             record(trace, "preprocess", "split", [cur], halves)
@@ -431,56 +432,49 @@ def pack(sys: System) -> System:
 # ---------------------------------------------------------------------------
 # substage 4: Ackermann elimination
 
-# Per handedness: the side where p stands alone, the side of its bound,
-# the join of the bounds and the join of none, and the one sign p may
-# carry in every other item, read with the lhs at + and the rhs at -.
+# Per order type: the handedness, the side where a variable of that type
+# stands alone, the side of its bound, the join of the bounds and the join
+# of none, and the one sign it may carry in every other item, read with the
+# lhs at + and the rhs at -.
 _ACKERMANN = {
-    "right": ("rhs", "lhs", Or, Bot, "+"),
-    "left": ("lhs", "rhs", And, Top, "-"),
+    "1": ("right", "rhs", "lhs", Or, Bot, "+"),
+    "d": ("left", "lhs", "rhs", And, Top, "-"),
 }
 
 
-def ackermann_eliminate(sys: System, p: str, handedness: str) -> System:
-    """Eliminate p from the packed system.  Right-handed collects items
-    alpha <= p and substitutes their join; left-handed is the dual."""
-    var_side, bound_side, join, empty, sign = _ACKERMANN[handedness]
-    alphas = []
-    rest = []
+def ackermann_eliminate(sys: System) -> System:
+    """Eliminate every variable of the packed system, in name order, with
+    one step each.  Right-handed (order type 1) collects the items
+    alpha <= p and substitutes their join for p; left-handed is the dual.
+
+    Each item's signs are read once, up front, as those of lhs -> rhs at
+    -.  Every bound is pure (`pack` checks it), so a substitution adds no
+    variable and moves no occurrence of another one."""
+    items = []
     for st in sys.items:
-        if (isinstance(st, Ineq) and getattr(st, var_side) == Prop(p)
-                and not st.sup and not st.sub):
-            alphas.append(st)
-        else:
-            rest.append(st)
-    bounds = [getattr(st, bound_side) for st in alphas]
-    for b in bounds:
-        if not is_fixed(b):
-            raise StageError(
-                "substage 4", f"bound {print_statement(Ineq(b, Prop(p)))} "
-                f"is not pure and context-free")
-    repl = reduce(join, bounds) if bounds else empty()
-    new_items = []
-    changed_from = []
-    changed_to = []
-    for st in rest:
         q = st.body if isinstance(st, UQIneq) else st
-        signs = (occurrence_signs(q.lhs, "+").get(p, set())
-                 | occurrence_signs(q.rhs, "-").get(p, set()))
-        if not signs:
-            new_items.append(st)
-            continue
-        if signs != {sign}:
-            raise StageError(
-                "substage 4",
-                f"{p} occurs with the wrong polarity in {_show(st)}")
-        # p occurs and the pure bound has no variable, so st changes
-        new = map_formulas(st, lambda f: substitute_prop(f, p, repl))
-        changed_from.append(st)
-        changed_to.append(new)
-        new_items.append(new)
-    record(sys.trace, "substage-4", f"ackermann-{handedness}",
-           alphas + changed_from, changed_to)
-    sys.items = new_items
+        items.append((st, occurrence_signs(Imp(q.lhs, q.rhs), "-")))
+    for p in sorted(set().union(*(signs for _, signs in items))):
+        hand, var_side, bound_side, join, empty, sign = _ACKERMANN[sys.eps[p]]
+        alphas, rest = [], []
+        for st, signs in items:
+            if (isinstance(st, Ineq) and getattr(st, var_side) == Prop(p)
+                    and not st.sup and not st.sub):
+                alphas.append(st)
+                continue
+            if signs.get(p, {sign}) != {sign}:
+                raise StageError(
+                    "substage 4",
+                    f"{p} occurs with the wrong polarity in {_show(st)}")
+            rest.append((st, signs))
+        bounds = [getattr(st, bound_side) for st in alphas]
+        repl = reduce(join, bounds) if bounds else empty()
+        items = [(map_formulas(st, lambda f: substitute_prop(f, p, repl))
+                  if p in signs else st, signs) for st, signs in rest]
+        record(sys.trace, "substage-4", f"ackermann-{hand}",
+               alphas + [st for st, signs in rest if p in signs],
+               [st for st, signs in items if p in signs])
+    sys.items = [st for st, _ in items]
     return sys
 
 
@@ -506,7 +500,9 @@ def run_alba(ineq: Ineq, order_type=None):
     """ALBA on ineq, a base-language Ineq as the parser returns it, under
     order_type or, when it is None, the one `find_order_type` picks: an
     AlbaSuccess or an AlbaFailure naming the stage.  The input has no
-    nominal, so the fresh ones are i0, i1, ... in order."""
+    nominal, so the fresh ones are i0, i1, ... in order.  Each sub-problem
+    is packed and then rid of every variable in one Ackermann pass, each
+    by a pure bound, so its quasi-inequality comes out pure."""
     ineq = Ineq(eliminate_iff(ineq.lhs), eliminate_iff(ineq.rhs))
     trace: list = []
     eps = dict(order_type) if order_type is not None else find_order_type(ineq)
@@ -537,13 +533,7 @@ def run_alba(ineq: Ineq, order_type=None):
             reduce_outer(sys)
             reduce_inner(sys)
             pack(sys)
-            for p in sorted({v for st in sys.items
-                             for v in statement_props(st)}):
-                handed = "right" if eps[p] == "1" else "left"
-                ackermann_eliminate(sys, p, handed)
-            for st in sys.items:
-                if statement_props(st):
-                    raise StageError("output", f"impure item {_show(st)}")
+            ackermann_eliminate(sys)
             quasis.append(QuasiUQ(tuple(sys.items), sys.goal))
     except StageError as exc:
         return AlbaFailure(str(exc), exc.stage, tuple(trace))

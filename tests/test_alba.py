@@ -9,10 +9,12 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from sabcorr.syntax import (
     And, Bot, Box, Dia, ExistsNom, GBox, Imp, InvLBox, InvLDia, LBox, LDia,
-    Nom, Not, Or, Prop, SBox, SDia, Top, EMPTY_EDGES, parse_inequality,
+    Nom, Not, Or, Prop, SBox, SDia, Top, EMPTY_EDGES, eliminate_iff,
+    occurrence_signs, parse_inequality,
 )
 from sabcorr.semantics import (
     Ineq, UQIneq, frame_valid, print_statement,
@@ -29,6 +31,7 @@ from sabcorr.fol import correspondent, emit_fo
 
 from frames import labelled_frames
 from test_golden import ROOT, _bench_module
+from test_syntax import _base_formulas
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
@@ -110,6 +113,19 @@ def test_preprocess_uniform_elimination_polarity():
     assert preprocess(ineq("~p <= p")) == [Ineq(Top(), Bot())]
     # elimination needs occurrences on both sides: q stays put here
     assert preprocess(ineq("p & ~q <= p")) == [Ineq(And(p, Not(q)), p)]
+
+
+@settings(max_examples=250, deadline=None)
+@given(_base_formulas.map(eliminate_iff), _base_formulas.map(eliminate_iff))
+def test_preprocess_distributes_once(lhs, rhs):
+    # splitting and uniform elimination never make a pair that distribution
+    # removes, so the one distribution of the input is the only one needed
+    trace = []
+    for sub in preprocess(Ineq(lhs, rhs), trace):
+        assert distribute(sub.lhs, "+") == sub.lhs
+        assert distribute(sub.rhs, "-") == sub.rhs
+    rules = [s.rule for s in trace]
+    assert "distribute" not in rules[1:]
 
 
 def test_preprocess_equivalent_on_small_frames():
@@ -349,28 +365,28 @@ def test_pack_stage_error_on_impure_bound():
 
 def test_ackermann_right_example():
     sys = _sys([Ineq(Nom("i2"), p), Ineq(Top(), Imp(p, Not(Nom("i1"))))])
-    ackermann_eliminate(sys, "p", "right")
+    ackermann_eliminate(sys)
     assert sys.items == [Ineq(Top(), Imp(Nom("i2"), Not(Nom("i1"))))]
 
 
 def test_ackermann_right_joins_bounds():
     sys = _sys([Ineq(Nom("i2"), p), Ineq(Nom("i3"), p),
                 Ineq(Top(), Imp(p, Not(Nom("i1"))))])
-    ackermann_eliminate(sys, "p", "right")
+    ackermann_eliminate(sys)
     assert sys.items == [
         Ineq(Top(), Imp(Or(Nom("i2"), Nom("i3")), Not(Nom("i1"))))]
 
 
 def test_ackermann_right_empty_join_is_bot():
     sys = _sys([Ineq(Top(), Imp(p, Not(Nom("i1"))))])
-    ackermann_eliminate(sys, "p", "right")
+    ackermann_eliminate(sys)
     assert sys.items == [Ineq(Top(), Imp(Bot(), Not(Nom("i1"))))]
 
 
 def test_ackermann_left_example():
     sys = _sys([Ineq(p, Not(Nom("i1"))), Ineq(Top(), Imp(Nom("i0"), p))],
                eps={"p": "d"})
-    ackermann_eliminate(sys, "p", "left")
+    ackermann_eliminate(sys)
     assert sys.items == [Ineq(Top(), Imp(Nom("i0"), Not(Nom("i1"))))]
 
 
@@ -380,15 +396,61 @@ def test_ackermann_polarity_precondition():
                 Ineq(Top(), Imp(Not(p), Not(Nom("i1"))))])
     # the third item has p positive on the right: wrong for right-handed
     with pytest.raises(StageError) as exc:
-        ackermann_eliminate(sys, "p", "right")
+        ackermann_eliminate(sys)
     assert exc.value.stage == "substage 4"
+
+
+def _two_variable_sys(q_item):
+    # p (order type 1) packs against i2, q (order type d) against ~i3, and
+    # the last item holds both
+    return _sys([Ineq(q, Not(Nom("i3"))), Ineq(Nom("i2"), p), q_item],
+                eps={"p": "1", "q": "d"})
+
+
+def test_ackermann_two_variables_in_name_order():
+    sys = _two_variable_sys(Ineq(Top(), Imp(And(p, Nom("i0")), q)))
+    ackermann_eliminate(sys)
+    assert sys.items == [
+        Ineq(Top(), Imp(And(Nom("i2"), Nom("i0")), Not(Nom("i3"))))]
+    assert [(s.stage, s.rule, s.consumed, s.produced) for s in sys.trace] == [
+        ("substage-4", "ackermann-right",
+         ("i2 <=^{}_{} p", "top <=^{}_{} p & i0 -> q"),
+         ("top <=^{}_{} i2 & i0 -> q",)),
+        ("substage-4", "ackermann-left",
+         ("q <=^{}_{} ~i3", "top <=^{}_{} i2 & i0 -> q"),
+         ("top <=^{}_{} i2 & i0 -> ~i3",))]
+
+
+def test_ackermann_wrong_polarity_names_the_substituted_item():
+    # +q on the right of top <= ... is wrong for q with order type d; the
+    # reason shows the item with p already replaced by its bound
+    sys = _two_variable_sys(Ineq(Top(), Imp(And(p, q), Not(Nom("i1")))))
+    with pytest.raises(StageError) as exc:
+        ackermann_eliminate(sys)
+    assert str(exc.value) == ("substage 4: q occurs with the wrong polarity "
+                              "in top <=^{}_{} i2 & q -> ~i1")
+    assert [s.rule for s in sys.trace] == ["ackermann-right"]
+
+
+def test_ackermann_reads_each_items_signs_once(monkeypatch):
+    # one sign walk per packed item, however many variables are eliminated
+    walks = []
+
+    def counted(f, sign):
+        walks.append(f)
+        return occurrence_signs(f, sign)
+
+    monkeypatch.setattr(alba, "occurrence_signs", counted)
+    sys = _two_variable_sys(Ineq(Top(), Imp(And(p, Nom("i0")), q)))
+    ackermann_eliminate(sys)
+    assert len(walks) == 3
 
 
 def test_ackermann_keeps_items_without_p():
     other = UQIneq(("i2",), Ineq(Top(), Imp(Nom("i2"), Not(Nom("i1")))))
     sys = _sys([Ineq(Nom("i3"), p), other,
                 Ineq(Top(), Imp(p, Not(Nom("i1"))))])
-    ackermann_eliminate(sys, "p", "right")
+    ackermann_eliminate(sys)
     assert sys.items[0] is other
     step = sys.trace[-1]
     assert step.stage == "substage-4"
@@ -399,7 +461,7 @@ def test_ackermann_keeps_items_without_p():
 def test_ackermann_substitutes_into_uq_bodies():
     uq = UQIneq(("i2",), Ineq(Top(), Imp(p, Nom("i2"))))
     sys = _sys([Ineq(Nom("i3"), p), uq])
-    ackermann_eliminate(sys, "p", "right")
+    ackermann_eliminate(sys)
     assert sys.items == [
         UQIneq(("i2",), Ineq(Top(), Imp(Nom("i3"), Nom("i2"))))]
 

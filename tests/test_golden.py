@@ -69,13 +69,20 @@ def test_tracer_sees_every_alba_stage(capsys):
                               "semantics": semantics})
     try:
         assert cli.main(["correspond", "--formula", "[]p -> p"]) == 0
+        assert cli.main(["correspond", "--formula",
+                         "[](p -> q) -> ([]p -> []q)"]) == 0
     finally:
         restore()
     assert "order type: p=1" in capsys.readouterr().out
     calls = tracer.calls()
     for stage in ("preprocess", "first_approximation", "reduce_outer",
-                  "reduce_inner", "pack", "ackermann"):
-        assert calls[f"alba.{stage}"] == 1, stage
+                  "reduce_inner", "pack"):
+        assert calls[f"alba.{stage}"] == 2, stage
+    # one Ackermann pass per sub-problem, however many variables it has
+    subproblems = sum(len(run.preprocessed)
+                      for run in tracer.returns["alba.run"])
+    assert subproblems == 2
+    assert calls["alba.ackermann"] == subproblems
 
 
 @pytest.mark.parametrize("workload", ["verify-n4", "corpus-n3"])
