@@ -224,23 +224,31 @@ def _spread(n: int, table, names: tuple) -> list:
     return [masks[i] for i in index]
 
 
-def _connective(op):
-    """The rule of a connective: op of its parts' masks under each
-    assignment of the union of their names."""
-    def rule(frames, bound, f):
-        tables = [_table(frames, bound, g) for g in _fo_children(f)]
-        names = tuple(sorted(set().union(*(own for own, _ in tables))))
-        columns = [_spread(frames.n, table, names) for table in tables]
-        return names, [op(*(column[i] for column in columns))
-                       for i in range(frames.n ** len(names))]
-    return rule
+# Each connective's op on its parts' masks; a quantifier's folds its variable.
+_OPS = {
+    FONot: operator.invert,
+    FOAnd: lambda *ms: functools.reduce(operator.and_, ms, -1),
+    FOOr: lambda *ms: functools.reduce(operator.or_, ms, 0),
+    FOImp: lambda a, b: ~a | b,
+    FOForall: operator.and_,
+    FOExists: operator.or_,
+}
 
 
-def _quantifier(op):
-    """The rule of a quantifier: fold its variable out of the body's table
-    with op, or keep the table if the body does not read it, since no
-    domain is empty."""
-    def rule(frames, bound, f):
+def _table(frames: _Frames, bound: frozenset, f: FOFormula):
+    """The table of f; quantifiers above it bind the names in bound."""
+    t = type(f)
+    if t is Eq:  # every frame or none
+        return _atom(frames, bound, (f.a, f.b), lambda a, b: -(a == b))
+    if t is Rel:
+        return _atom(frames, bound, (f.a, f.b),
+                     lambda a, b: frames.cells.get((a, b), 0))
+    if t is Pred:
+        return _atom(frames, bound, (f.t,), lambda w: (
+            -1 if value_of(frames.val, f.name) >> w & 1 else 0))
+    op = _OPS[t]
+    if t is FOForall or t is FOExists:
+        # no domain is empty, so a vacuous binder keeps the body's table
         names, masks = _table(frames, bound | {f.var}, f.body)
         if f.var not in names:
             return names, masks
@@ -250,30 +258,12 @@ def _quantifier(op):
         return names[:k] + names[k + 1:], [
             functools.reduce(op, masks[start + lo:start + block:inner])
             for start in range(0, len(masks), block) for lo in range(inner)]
-    return rule
-
-
-# One table rule per FO class, from the tables of its parts; `bound` holds
-# the names that quantifiers above the node bind.
-_TABLE = {
-    Eq: lambda frames, bound, f: _atom(
-        frames, bound, (f.a, f.b), lambda a, b: -1 if a == b else 0),
-    Rel: lambda frames, bound, f: _atom(
-        frames, bound, (f.a, f.b), lambda a, b: frames.cells.get((a, b), 0)),
-    Pred: lambda frames, bound, f: _atom(
-        frames, bound, (f.t,),
-        lambda w: -1 if value_of(frames.val, f.name) >> w & 1 else 0),
-    FONot: _connective(operator.invert),
-    FOAnd: _connective(lambda *ms: functools.reduce(operator.and_, ms, -1)),
-    FOOr: _connective(lambda *ms: functools.reduce(operator.or_, ms, 0)),
-    FOImp: _connective(lambda a, b: ~a | b),
-    FOForall: _quantifier(operator.and_),
-    FOExists: _quantifier(operator.or_),
-}
-
-
-def _table(frames: _Frames, bound: frozenset, f: FOFormula):
-    return _TABLE[type(f)](frames, bound, f)
+    # op across the parts' masks, spread over the union of their names
+    tables = [_table(frames, bound, g) for g in _fo_children(f)]
+    names = tuple(sorted(set().union(*(own for own, _ in tables))))
+    columns = [_spread(frames.n, table, names) for table in tables]
+    return names, [op(*(column[i] for column in columns))
+                   for i in range(frames.n ** len(names))]
 
 
 def eval_fo(frames, val: dict, f: FOFormula) -> int:

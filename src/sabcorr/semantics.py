@@ -1,11 +1,11 @@
 """Finite Kripke semantics with edge deletion, and ALBA's statements.
 
 `extension` evaluates a formula of the base language, the one the parser
-accepts, to the bit mask of the worlds where it holds, by one mask rule per
-node class.  [] <> [!] <!> read the current relation (r0 minus the
-accumulated deleted edges).  ALBA's expanded language and its statements
-other than an unlabelled Ineq get their meaning from the standard
-translation, `fol.st_statement`; here they raise EvalError.
+accepts, to the bit mask of the worlds where it holds, in one walk that
+reads each node by its class.  [] <> [!] <!> read the current relation (r0
+minus the accumulated deleted edges).  ALBA's expanded language and its
+statements other than an unlabelled Ineq get their meaning from the
+standard translation, `fol.st_statement`; here they raise EvalError.
 
 A mask holds one block of `frame.width` bits per world, world w's at bit
 w*width, and bit v of a block reads valuation v; width 1 is the plain mask,
@@ -73,49 +73,12 @@ def _pre(frame, pairs, mask: int) -> int:
     return out
 
 
-# One rule per range of a base-language modality (`syntax.Connective.range`):
-# masks whose union is where the node's existential reading holds, each mask
-# of the child XORed with `flip`.  A universal node passes flip = every world
-# and complements the union, since forall is not exists not.
-RANGES = {
-    "succ": lambda frame, val, deleted, f, flip: (_pre(
-        frame, frame.r0 - deleted if deleted else frame.r0,
-        extension(frame, val, deleted, f.child) ^ flip),),
-    "edge": lambda frame, val, deleted, f, flip: (
-        extension(frame, val, deleted | {e}, f.child) ^ flip
-        for e in frame.r0 - deleted),
-}
-
-
-def _quantify(frame, val, deleted, f):
-    row = CONNECTIVES[type(f)]
-    flip = 0 if row.quantifier == "exists" else frame.full
-    out = 0
-    for mask in RANGES[row.range](frame, val, deleted, f, flip):
-        out |= mask
-    return out ^ flip
-
-
-def _junction(op):
-    return lambda frame, val, deleted, f: op(
-        extension(frame, val, deleted, f.left),
-        extension(frame, val, deleted, f.right), frame.full)
-
-
-# One mask rule per base-language node class: its extension from its
-# children's.
-_EXTENSION = {
-    Bot: lambda frame, val, deleted, f: 0,
-    Top: lambda frame, val, deleted, f: frame.full,
-    Prop: lambda frame, val, deleted, f: value_of(val, f.name),
-    Not: lambda frame, val, deleted, f: (
-        extension(frame, val, deleted, f.child) ^ frame.full),
-    And: _junction(lambda a, b, full: a & b),
-    Or: _junction(lambda a, b, full: a | b),
-    Imp: _junction(lambda a, b, full: a ^ full | b),
-    Iff: _junction(lambda a, b, full: a ^ b ^ full),
-    **dict.fromkeys((c for c, row in CONNECTIVES.items()
-                     if row.range in RANGES), _quantify),
+# The boolean connectives: a node's mask from its two children's.
+_BOOLEAN = {
+    And: lambda a, b, full: a & b,
+    Or: lambda a, b, full: a | b,
+    Imp: lambda a, b, full: a ^ full | b,
+    Iff: lambda a, b, full: a ^ b ^ full,
 }
 
 
@@ -123,12 +86,34 @@ def extension(frame: KripkeFrame, val: dict, deleted: frozenset,
               f: Formula) -> int:
     """The bit mask of the worlds where f holds, the edges in deleted taken
     out of the current relation; f is in the base language."""
-    try:
-        rule = _EXTENSION[type(f)]
-    except KeyError:
+    t = type(f)
+    if t is Prop:
+        return value_of(val, f.name)
+    if t is Not:
+        return extension(frame, val, deleted, f.child) ^ frame.full
+    if t is Top:
+        return frame.full
+    if t is Bot:
+        return 0
+    op = _BOOLEAN.get(t)
+    if op:
+        return op(extension(frame, val, deleted, f.left),
+                  extension(frame, val, deleted, f.right), frame.full)
+    # a modality: the union of the child's masks over its range; if it is
+    # universal, each mask and the union are complemented (not exists not)
+    row = CONNECTIVES[t]
+    flip = 0 if row.quantifier == "exists" else frame.full
+    if row.range == "succ":
+        out = _pre(frame, frame.r0 - deleted if deleted else frame.r0,
+                   extension(frame, val, deleted, f.child) ^ flip)
+    elif row.range == "edge":
+        out = 0
+        for e in frame.r0 - deleted:
+            out |= extension(frame, val, deleted | {e}, f.child) ^ flip
+    else:
         msg = f"the modal check has no rule for {print_formula(f)}"
-        raise EvalError(msg) from None
-    return rule(frame, val, deleted, f)
+        raise EvalError(msg)
+    return out ^ flip
 
 
 # ---------------------------------------------------------------------------

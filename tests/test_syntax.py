@@ -42,9 +42,21 @@ def test_every_formula_class_has_a_row():
         row = CONNECTIVES[cls]
         assert row.quantifier in ("exists", "forall"), cls
         assert row.range in fol.RANGES, cls
-    # the modal check has mask rules for the ranges the parser reads only
-    assert set(semantics.RANGES) == {"succ", "edge"} == {
-        row.range for row in CONNECTIVES.values() if row.range and row.token}
+    # the modal check evaluates the modalities the parser reads and no other
+    # quantifying node: on 0 -> 1 with p at world 1
+    frame = semantics.KripkeFrame(2, frozenset({(0, 1)}))
+    read = {Dia(p): 0b01, Box(p): 0b11, SDia(p): 0b10, SBox(p): 0b10}
+    unread = [LDia(EMPTY_EDGES, p), LBox(EMPTY_EDGES, p),
+              InvLDia(EMPTY_EDGES, p), InvLBox(EMPTY_EDGES, p), GBox(p),
+              ForallNom("i0", p), ExistsNom("i0", p)]
+    assert {type(f) for f in [*read, *unread]} == quantifying
+    for f in [*read, *unread]:
+        if CONNECTIVES[type(f)].token:
+            assert semantics.extension(
+                frame, {"p": 0b10}, EMPTY_EDGES, f) == read[f], f
+        else:
+            with pytest.raises(semantics.EvalError, match="no rule for"):
+                semantics.extension(frame, {"p": 0b10}, EMPTY_EDGES, f)
     assert all(row.quantifier is None for cls, row in CONNECTIVES.items()
                if cls not in quantifying)
 
