@@ -11,6 +11,7 @@ from .syntax import (
 )
 from .semantics import (
     FRAME_CAP, Ineq, enumerate_frames, frame_valid, print_statement,
+    valuation_blocks,
 )
 from .sahlqvist import (
     critical_branches, find_order_type, is_epsilon_sahlqvist,
@@ -134,13 +135,14 @@ def _check(ineq: Ineq, fo, classes):
     """Yield (frame, orbit, input valid, correspondent holds) for each
     (frame, orbit) of each list in classes, whose frames share one size.
     Both verdicts are the same on every frame of a class.  The simplified
-    correspondent, which has no free names, is checked once per list."""
+    correspondent (no free names) and the layout are built once per list."""
     vars = sorted(props_of(ineq.lhs) | props_of(ineq.rhs))
     sentence = simplify(fo)
     for size in classes:
         holds = holds_on_frame([frame for frame, _ in size], sentence)
+        layout = valuation_blocks(size[0][0].n, vars)
         for k, (frame, orbit) in enumerate(size):
-            yield (frame, orbit, frame_valid(frame, ineq, vars),
+            yield (frame, orbit, frame_valid(frame, ineq, layout),
                    bool(holds >> k & 1))
 
 

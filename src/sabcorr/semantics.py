@@ -9,8 +9,9 @@ standard translation, `fol.st_statement`; here they raise EvalError.
 
 A mask holds one block of `frame.width` bits per world, world w's at bit
 w*width, and bit v of a block reads valuation v; width 1 is the plain mask,
-world w at bit w.  A valuation maps each proposition to its mask, and
-`value_of` reads it; a name it does not bind raises EvalError.
+world w at bit w.  A valuation maps each proposition to its mask (read by
+`value_of`; an unbound name raises EvalError).  `valuation_blocks` lays out
+every valuation of some names once per world count, for `frame_valid`.
 """
 
 from __future__ import annotations
@@ -198,28 +199,39 @@ def map_formulas(s: Statement, fn) -> Statement:
                        tuple(map_formulas(p, fn) for p in row.parts(s)))
 
 
-def frame_valid(frame: KripkeFrame, s: Statement, vars=None) -> bool:
-    """True iff the unlabelled inequality s holds under every valuation of
-    vars, by default its propositions.  Valuation v gives the j-th of k
-    names the worlds in bits n*(k-1-j) .. of v, so the first name varies
-    slowest.  Each `eval_statement` call reads one chunk of valuations,
-    those that share the bits of v past the first BLOCK_BITS, all at once:
-    bit b < BLOCK_BITS of v, as a block, has runs of 2^b ones every
-    2^(b+1) bits, and a later bit is a block of all ones or none."""
-    vars = sorted(statement_props(s)) if vars is None else vars
-    n, k = frame.n, len(vars)
+def valuation_blocks(n: int, vars) -> tuple:
+    """The valuations of names vars on n worlds as (width, low, high).  The
+    j-th of k names holds at the worlds in bits n*(k-1-j) .. of valuation v,
+    so the first name varies slowest.  A width-bit block reads the
+    valuations that share the bits of v past the first BLOCK_BITS: bit b of
+    v has runs of 2^b ones every 2^(b+1) bits.  low maps each name to its
+    mask from those bits; high lists per later bit its (name, world)."""
+    k = len(vars)
     runs, width = [], 1  # each block doubled, and one more bit
     for _ in range(min(n * k, BLOCK_BITS)):
         runs = [r | r << width for r in runs] + [(1 << width) - 1 << width]
         width *= 2
-    wide = KripkeFrame(n, frame.r0, width)
+    low = dict.fromkeys(vars, 0)
+    for i, run in enumerate(runs):
+        low[vars[k - 1 - i // n]] |= run << i % n * width
+    high = [(vars[k - 1 - i // n], i % n) for i in range(len(runs), n * k)]
+    return width, low, high
+
+
+def frame_valid(frame: KripkeFrame, s: Statement, layout=None) -> bool:
+    """True iff the unlabelled inequality s holds under every valuation of
+    a `valuation_blocks` layout for frame.n, by default of its propositions.
+    Each `eval_statement` call reads one chunk c of them at once: low, with
+    the all-ones block of high[i] ORed in for each set bit i of c."""
+    width, low, high = layout or valuation_blocks(
+        frame.n, sorted(statement_props(s)))
+    wide = KripkeFrame(frame.n, frame.r0, width)
     ones = (1 << width) - 1
-    high = n * k - len(runs)  # the bits of v that number the chunks
-    for chunk in range(1 << high):
-        bits = runs + [ones if chunk >> c & 1 else 0 for c in range(high)]
-        val = {name: sum(bits[n * (k - 1 - j) + w] << w * width
-                         for w in range(n))
-               for j, name in enumerate(vars)}
+    for chunk in range(1 << len(high)):
+        val = dict(low) if chunk else low  # the layout is shared: no writes
+        for c, (name, w) in enumerate(high):
+            if chunk >> c & 1:
+                val[name] |= ones << w * width
         if not eval_statement(wide, val, s):
             return False
     return True

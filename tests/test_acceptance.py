@@ -16,7 +16,7 @@ from sabcorr.syntax import (
 )
 from sabcorr.semantics import (
     Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq, frame_valid,
-    statement_props,
+    statement_props, valuation_blocks,
 )
 from sabcorr.sahlqvist import (
     find_order_type, has_critical_occurrence, is_definite, is_epsilon_sahlqvist,
@@ -400,8 +400,9 @@ def test_criterion_4_end_to_end_soundness(capsys):
             vars = sorted(statement_props(iq))
             for frames in sizes:
                 holds = holds_on_frame(frames, closure(fo))
+                layout = valuation_blocks(frames[0].n, vars)
                 for k, frame in enumerate(frames):
-                    assert frame_valid(frame, iq, vars) == \
+                    assert frame_valid(frame, iq, layout) == \
                         bool(holds >> k & 1), (label, frame)
     _report(capsys, "criterion 4 (end-to-end soundness, corpus x 530 frames)",
             300.0, run)

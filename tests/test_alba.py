@@ -18,7 +18,7 @@ from sabcorr.syntax import (
 )
 from sabcorr.semantics import (
     Ineq, UQIneq, frame_valid, print_statement,
-    statement_props,
+    statement_props, valuation_blocks,
 )
 from sabcorr import alba
 from sabcorr.alba import (
@@ -134,10 +134,10 @@ def test_preprocess_equivalent_on_small_frames():
         src = ineq(text)
         out = preprocess(src)
         for n in (1, 2):
+            layout = valuation_blocks(n, sorted(statement_props(src)))
             for frame in labelled_frames(n):
-                vars = sorted(statement_props(src))
-                lhs = frame_valid(frame, src, vars)
-                rhs = all(frame_valid(frame, o, vars) for o in out)
+                lhs = frame_valid(frame, src, layout)
+                rhs = all(frame_valid(frame, o, layout) for o in out)
                 assert lhs == rhs, (text, frame)
 
 

@@ -8,15 +8,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sabcorr import cli
+from sabcorr import cli, semantics
 from sabcorr.cli import load_corpus, main
 from sabcorr.syntax import _SYMBOLS, Box, Dia, Prop, parse_inequality
-from sabcorr.semantics import Ineq, enumerate_frames, frame_valid
+from sabcorr.semantics import (
+    Ineq, enumerate_frames, frame_valid, statement_props, valuation_blocks,
+)
 from sabcorr.alba import run_alba
 from sabcorr.fol import correspondent, emit_fo, holds_on_frame
 
 from fo_equiv import free_names
-from frames import labelled_frames
+from frames import labelled_frames, oracle_holds, valuations
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sahlqvist.txt"
 
@@ -216,6 +218,64 @@ def test_verify_checks_each_world_count_once(monkeypatch, capsys):
     assert calls == [[frame for frame, _ in enumerate_frames(n)]
                      for n in (1, 2, 3)]
     assert list(map(len, calls)) == [2, 10, 104]
+
+
+def _spy_layouts(monkeypatch):
+    """The layouts `cli` builds, and the layout handed to each of its
+    frame_valid calls, both in order."""
+    built, used = [], []
+
+    def build(n, vars):
+        built.append(valuation_blocks(n, vars))
+        return built[-1]
+
+    def check(frame, s, layout):
+        used.append(layout)
+        return frame_valid(frame, s, layout)
+    monkeypatch.setattr(cli, "valuation_blocks", build)
+    monkeypatch.setattr(cli, "frame_valid", check)
+    return built, used
+
+
+def test_verify_builds_one_layout_per_world_count(monkeypatch, capsys):
+    built, used = _spy_layouts(monkeypatch)
+    assert main(["verify", "--formula", "[]p -> p", "--max-worlds", "4"]) == 0
+    assert capsys.readouterr().out == "PASS over 66066 frames (n <= 4)\n"
+    assert len(built) == 4 and len(used) == 3160
+    # the classes of each size share that size's layout object
+    sizes = [len(list(enumerate_frames(n))) for n in (1, 2, 3, 4)]
+    assert [id(layout) for layout in used] == [
+        id(layout) for layout, size in zip(built, sizes)
+        for _ in range(size)]
+
+
+def test_corpus_builds_one_layout_per_world_count(monkeypatch, capsys):
+    built, _ = _spy_layouts(monkeypatch)
+    # exit 0: every entry is Sahlqvist and verified
+    assert main(["corpus", "--file", str(CORPUS), "--max-worlds", "3"]) == 0
+    assert len(built) == 3 * len(load_corpus(CORPUS))
+
+
+@pytest.mark.parametrize("text", ["[](p -> q) -> ([]p -> []q)",
+                                  "<!>(p & q & r) -> <>p | <!>q | r"])
+def test_shared_layout_survives_every_chunk(monkeypatch, text):
+    # with 2-bit blocks every frame with n*k > 2 takes several chunks, each
+    # built on the one layout of its size; a chunk that wrote into that
+    # layout would change the valuations read by the next class
+    monkeypatch.setattr(semantics, "BLOCK_BITS", 2)
+    built, used = _spy_layouts(monkeypatch)
+    ineq = Ineq(*parse_inequality(text))
+    names = sorted(statement_props(ineq))
+    fo = correspondent(run_alba(ineq).quasis)
+    checked = 0
+    for frame, _, valid, holds in cli._check(ineq, fo, cli._classes(3)):
+        assert valid == holds == all(oracle_holds(frame, val, ineq)
+                                     for val in valuations(frame, names)), \
+            (text, frame)
+        checked += 1
+    assert checked == len(used) == 116
+    assert built == [valuation_blocks(n, names) for n in (1, 2, 3)]
+    assert max(len(high) for _, _, high in built) == 3 * len(names) - 2
 
 
 def test_verify_is_not_exponential_in_quantifier_depth(capsys):

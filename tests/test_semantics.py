@@ -19,6 +19,7 @@ from sabcorr.semantics import (
     EvalError, Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq,
     enumerate_frames, eval_statement, extension, frame_valid, STATEMENTS,
     Statement, map_formulas, print_statement, statement_props,
+    valuation_blocks,
 )
 from sabcorr.cli import load_corpus
 from sabcorr.fol import eval_fo, holds_on_frame, simplify, st_statement
@@ -143,12 +144,12 @@ def test_unbound_nominal_raises_where_a_pointwise_reading_skipped_it(f):
 
 def test_unbound_variable_raises():
     # a variable the valuation does not bind is an error, not the empty
-    # set: frame_valid over a subset of the variables raises too
+    # set: frame_valid over a layout of a subset of the variables raises too
     frame = KripkeFrame(2, frozenset({(0, 1)}))
     with pytest.raises(EvalError, match="no value for 'q' in the valuation"):
         extension(frame, {"p": 1}, frozenset(), Or(p, q))
     with pytest.raises(EvalError, match="no value for 'q' in the valuation"):
-        frame_valid(frame, Ineq(p, q), ["p"])
+        frame_valid(frame, Ineq(p, q), valuation_blocks(2, ["p"]))
     assert not frame_valid(frame, Ineq(p, q))
 
 
@@ -328,14 +329,16 @@ def test_valuations_count_and_mask_order():
 
 def _eval_calls(monkeypatch, frame, names):
     """The (frame, valuation) pairs that frame_valid hands to
-    eval_statement, in order, for a statement over `names`."""
+    eval_statement, in order, for a statement over `names`, given the
+    layout of `names`."""
     calls = []
 
     def record(wide, val, s):
         calls.append((wide, val))
         return True
     monkeypatch.setattr(semantics, "eval_statement", record)
-    assert frame_valid(frame, Ineq(Top(), Top()), names) is True
+    layout = valuation_blocks(frame.n, names)
+    assert frame_valid(frame, Ineq(Top(), Top()), layout) is True
     return calls
 
 
