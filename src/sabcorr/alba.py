@@ -17,13 +17,11 @@ from functools import reduce
 from operator import attrgetter
 
 from .syntax import (
-    And, Bot, Box, Dia, ExistsNom, ForallNom, Formula, GBox, Imp, InvLBox,
-    InvLDia, LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top,
-    CONNECTIVES, EMPTY_EDGES, _rebuild, children, eliminate_iff, is_fixed,
-    occurrence_signs, props_of, substitute_prop,
-)
-from .semantics import (
-    Ineq, MegaGuard, QuasiUQ, Statement, UQIneq, map_formulas, print_statement,
+    And, Bot, Box, Dia, ExistsNom, ForallNom, Formula, GBox, Imp, Ineq,
+    InvLBox, InvLDia, LBox, LDia, MegaGuard, Nom, Not, Or, Prop, QuasiUQ,
+    SBox, SDia, Statement, Top, UQIneq, CONNECTIVES, EMPTY_EDGES, _rebuild,
+    children, eliminate_iff, is_fixed, occurrence_signs, print_statement,
+    props_of, substitute_prop,
 )
 from .sahlqvist import (
     JOIN, find_order_type, has_critical_occurrence, is_definite,
@@ -442,6 +440,14 @@ _ACKERMANN = {
 }
 
 
+def _substitute(st: Statement, p: str, repl: Formula) -> Statement:
+    """A packed item, an Ineq or a UQIneq over one, with repl for p."""
+    q = st.body if isinstance(st, UQIneq) else st
+    out = Ineq(substitute_prop(q.lhs, p, repl), substitute_prop(q.rhs, p, repl),
+               q.sup, q.sub)
+    return UQIneq(st.binders, out) if q is not st else out
+
+
 def ackermann_eliminate(sys: System) -> System:
     """Eliminate every variable of the packed system, in name order, with
     one step each.  Right-handed (order type 1) collects the items
@@ -469,8 +475,8 @@ def ackermann_eliminate(sys: System) -> System:
             rest.append((st, signs))
         bounds = [getattr(st, bound_side) for st in alphas]
         repl = reduce(join, bounds) if bounds else empty()
-        items = [(map_formulas(st, lambda f: substitute_prop(f, p, repl))
-                  if p in signs else st, signs) for st, signs in rest]
+        items = [(_substitute(st, p, repl) if p in signs else st, signs)
+                 for st, signs in rest]
         record(sys.trace, "substage-4", f"ackermann-{hand}",
                alphas + [st for st, signs in rest if p in signs],
                [st for st, signs in items if p in signs])

@@ -7,11 +7,11 @@ import json
 import sys
 
 from .syntax import (
-    ParseError, eliminate_iff, parse_inequality, print_formula, props_of,
+    Ineq, ParseError, eliminate_iff, parse_inequality, print_formula,
+    print_statement, props_of,
 )
 from .semantics import (
-    FRAME_CAP, Ineq, enumerate_frames, frame_valid, print_statement,
-    valuation_blocks,
+    FRAME_CAP, enumerate_frames, frame_valid, valuation_blocks,
 )
 from .sahlqvist import (
     critical_branches, find_order_type, is_epsilon_sahlqvist,
@@ -142,7 +142,7 @@ def _check(ineq: Ineq, fo, classes):
         holds = holds_on_frame([frame for frame, _ in size], sentence)
         layout = valuation_blocks(size[0][0].n, vars)
         for k, (frame, orbit) in enumerate(size):
-            yield (frame, orbit, frame_valid(frame, ineq, layout),
+            yield (frame, orbit, frame_valid(frame, ineq.lhs, ineq.rhs, layout),
                    bool(holds >> k & 1))
 
 

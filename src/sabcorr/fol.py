@@ -18,11 +18,10 @@ from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 
 from .syntax import (
-    And, Bot, Formula, Iff, Imp, Nom, Not, Or, Prop, Top, CONNECTIVES,
+    And, Bot, Formula, Iff, Imp, Ineq, MegaGuard, Nom, Not, Or, Prop, QuasiUQ,
+    Statement, Top, UQIneq, CONNECTIVES,
 )
-from .semantics import (
-    Ineq, MegaGuard, QuasiUQ, Statement, UQIneq, value_of,
-)
+from .semantics import value_of
 
 
 class FOFormula:

@@ -11,10 +11,9 @@ order); a leaf +p with eps(p)='1' or -p with eps(p)='d' is critical.
 from __future__ import annotations
 
 from .syntax import (
-    And, Formula, Or, Prop, CONNECTIVES, eliminate_iff, occurrence_signs,
-    parse_formula, props_of,
+    And, Formula, Ineq, Or, Prop, CONNECTIVES, eliminate_iff,
+    occurrence_signs, parse_formula, props_of,
 )
-from .semantics import Ineq
 
 # Per sign, the join that is outer but not definite (+or, -and):
 # preprocessing splits it and distributes the other outer nodes over it.

@@ -1,11 +1,13 @@
-"""Finite Kripke semantics with edge deletion, and ALBA's statements.
+"""Finite Kripke semantics with edge deletion: frames, the base-language
+evaluator, valuation layouts and frame enumeration.
 
 `extension` evaluates a formula of the base language, the one the parser
 accepts, to the bit mask of the worlds where it holds, in one walk that
 reads each node by its class.  [] <> [!] <!> read the current relation (r0
-minus the accumulated deleted edges).  ALBA's expanded language and its
-statements other than an unlabelled Ineq get their meaning from the
-standard translation, `fol.st_statement`; here they raise EvalError.
+minus the accumulated deleted edges).  ALBA's expanded language gets its
+meaning from the standard translation, `fol.st_statement`; here it raises
+EvalError.  `frame_valid` takes an inequality as its two sides, so none of
+ALBA's statements (in `syntax`) reaches the check.
 
 A mask holds one block of `frame.width` bits per world, world w's at bit
 w*width, and bit v of a block reads valuation v; width 1 is the plain mask,
@@ -17,13 +19,11 @@ every valuation of some names once per world count, for `frame_valid`.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .syntax import (
-    And, Bot, Formula, Iff, Imp, Not, Or, Prop, Top,
-    CONNECTIVES, EMPTY_EDGES, EdgeLabelSet, print_edge_set, print_formula,
-    props_of,
+    And, Bot, Formula, Iff, Imp, Not, Or, Prop, Top, CONNECTIVES, EMPTY_EDGES,
+    print_formula,
 )
 
 FRAME_CAP = 4
@@ -117,86 +117,13 @@ def extension(frame: KripkeFrame, val: dict, deleted: frozenset,
     return out ^ flip
 
 
-# ---------------------------------------------------------------------------
-# statements
-
-class Statement:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Ineq(Statement):
-    lhs: Formula
-    rhs: Formula
-    sup: EdgeLabelSet = EMPTY_EDGES
-    sub: EdgeLabelSet = EMPTY_EDGES
-
-
-@dataclass(frozen=True)
-class MegaGuard(Statement):
-    """forall i0 forall i1 (i0 <=^S_S dia^S i1 => body)."""
-
-    m0: str
-    m1: str
-    s: EdgeLabelSet
-    body: Statement
-
-
-@dataclass(frozen=True)
-class UQIneq(Statement):
-    binders: tuple
-    body: Statement
-
-
-@dataclass(frozen=True)
-class QuasiUQ(Statement):
-    premises: tuple
-    conclusion: Statement
-
-
-def eval_statement(frame: KripkeFrame, val: dict, s: Statement) -> bool:
-    """Whether the unlabelled inequality s holds under val.  Any other
-    statement raises EvalError: its meaning is `fol.st_statement`'s."""
-    if type(s) is not Ineq or s.sup or s.sub:
-        msg = ("the modal check reads unlabelled inequalities only, not "
-               f"{print_statement(s)}")
-        raise EvalError(msg)
-    return not (extension(frame, val, EMPTY_EDGES, s.lhs)
-                & ~extension(frame, val, EMPTY_EDGES, s.rhs))
-
-
-# The statement table: per class, its formulas, its sub-statements, and how
-# to copy a statement with new formulas and sub-statements.
-_Row = namedtuple("_Row", "formulas parts rebuild")
-
-
-def _none(s):
-    return ()
-
-
-STATEMENTS = {
-    Ineq: _Row(lambda s: (s.lhs, s.rhs), _none,
-               lambda s, fs, ps: Ineq(*fs, s.sup, s.sub)),
-    MegaGuard: _Row(_none, lambda s: (s.body,),
-                    lambda s, fs, ps: MegaGuard(s.m0, s.m1, s.s, *ps)),
-    UQIneq: _Row(_none, lambda s: (s.body,),
-                 lambda s, fs, ps: UQIneq(s.binders, *ps)),
-    QuasiUQ: _Row(_none, lambda s: (*s.premises, s.conclusion),
-                  lambda s, fs, ps: QuasiUQ(ps[:-1], ps[-1])),
-}
-
-
-def statement_props(s: Statement) -> frozenset:
-    row = STATEMENTS[type(s)]
-    return frozenset().union(*map(props_of, row.formulas(s)),
-                             *map(statement_props, row.parts(s)))
-
-
-def map_formulas(s: Statement, fn) -> Statement:
-    """s with fn applied to every formula in it, at any depth."""
-    row = STATEMENTS[type(s)]
-    return row.rebuild(s, tuple(map(fn, row.formulas(s))),
-                       tuple(map_formulas(p, fn) for p in row.parts(s)))
+def eval_statement(frame: KripkeFrame, val: dict, lhs: Formula,
+                   rhs: Formula) -> bool:
+    """Whether no world of lhs lies outside rhs under val: the test of one
+    chunk of `frame_valid`.  It keeps its name, from when it read a whole
+    statement, because `bench/spans.py` counts its calls."""
+    return not (extension(frame, val, EMPTY_EDGES, lhs)
+                & ~extension(frame, val, EMPTY_EDGES, rhs))
 
 
 def valuation_blocks(n: int, vars) -> tuple:
@@ -218,13 +145,13 @@ def valuation_blocks(n: int, vars) -> tuple:
     return width, low, high
 
 
-def frame_valid(frame: KripkeFrame, s: Statement, layout=None) -> bool:
-    """True iff the unlabelled inequality s holds under every valuation of
-    a `valuation_blocks` layout for frame.n, by default of its propositions.
-    Each `eval_statement` call reads one chunk c of them at once: low, with
-    the all-ones block of high[i] ORed in for each set bit i of c."""
-    width, low, high = layout or valuation_blocks(
-        frame.n, sorted(statement_props(s)))
+def frame_valid(frame: KripkeFrame, lhs: Formula, rhs: Formula,
+                layout: tuple) -> bool:
+    """True iff lhs <= rhs holds under every valuation of layout, the
+    `valuation_blocks` of frame.n and the propositions of both sides.  Each
+    `eval_statement` call reads one chunk c of them at once: low, with the
+    all-ones block of high[i] ORed in for each set bit i of c."""
+    width, low, high = layout
     wide = KripkeFrame(frame.n, frame.r0, width)
     ones = (1 << width) - 1
     for chunk in range(1 << len(high)):
@@ -232,7 +159,7 @@ def frame_valid(frame: KripkeFrame, s: Statement, layout=None) -> bool:
         for c, (name, w) in enumerate(high):
             if chunk >> c & 1:
                 val[name] |= ones << w * width
-        if not eval_statement(wide, val, s):
+        if not eval_statement(wide, val, lhs, rhs):
             return False
     return True
 
@@ -292,29 +219,3 @@ def enumerate_frames(n: int):
         yield (KripkeFrame(n, frozenset(edges_low[lo] + edges_high[hi])),
                len(orbit))
         mask = seen.find(0, mask + 1)
-
-
-# ---------------------------------------------------------------------------
-# printing
-
-def print_statement(s: Statement) -> str:
-    if isinstance(s, Ineq):
-        sup = print_edge_set(s.sup)
-        sub = print_edge_set(s.sub)
-        return (f"{print_formula(s.lhs)} <=^{sup}_{sub} "
-                f"{print_formula(s.rhs)}")
-    if isinstance(s, MegaGuard):
-        es = print_edge_set(s.s)
-        guard = f"{s.m0} <=^{es}_{es} dia^{es} {s.m1}"
-        return (f"forall {s.m0} forall {s.m1} ({guard} => "
-                f"{print_statement(s.body)})")
-    if isinstance(s, UQIneq):
-        binders = " ".join(f"forall {b}" for b in s.binders)
-        return f"{binders} ({print_statement(s.body)})"
-    if isinstance(s, QuasiUQ):
-        prems = " & ".join(f"[{print_statement(p)}]" for p in s.premises)
-        if not prems:
-            prems = "[]"
-        return f"{prems} => [{print_statement(s.conclusion)}]"
-    msg = f"cannot print statement {s!r}"
-    raise EvalError(msg)

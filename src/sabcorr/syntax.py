@@ -1,5 +1,5 @@
-"""Abstract syntax, the connective table, parsing, printing and structural
-queries.
+"""Abstract syntax, ALBA's statements, the connective table, parsing,
+printing and structural queries.
 
 The parser accepts the base sabotage modal language only.  The expanded
 constructors (nominals, labeled modalities, inverses, global modalities,
@@ -7,6 +7,12 @@ nominal quantifiers) are produced internally by the rewrite engine and are
 printable but not parseable; the parser rejects the nominal names i0, i1,
 ..., so the engine issues them in order without reading its input for
 them.
+
+ALBA's statements are the inequality `Ineq` (lhs <=^sup_sub rhs, each side
+read under r0 minus its labelled edges) and the forms built on it:
+`MegaGuard`, `UQIneq` and `QuasiUQ`.  They live here, where `sahlqvist`,
+`alba`, `fol` and `cli` can all import them; `print_statement` prints them
+and `fol.st_statement` gives them their meaning.
 
 `CONNECTIVES` is the one place that says what each node class is: its label
 in signed generation trees, the sign of each child, the signs at which it
@@ -154,6 +160,43 @@ class ForallNom(Formula):
 class ExistsNom(Formula):
     nom: str
     child: Formula
+
+
+# ---------------------------------------------------------------------------
+# ALBA's statements
+
+class Statement:
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class Ineq(Statement):
+    lhs: Formula
+    rhs: Formula
+    sup: EdgeLabelSet = EMPTY_EDGES
+    sub: EdgeLabelSet = EMPTY_EDGES
+
+
+@dataclass(frozen=True)
+class MegaGuard(Statement):
+    """forall i0 forall i1 (i0 <=^S_S dia^S i1 => body)."""
+
+    m0: str
+    m1: str
+    s: EdgeLabelSet
+    body: Statement
+
+
+@dataclass(frozen=True)
+class UQIneq(Statement):
+    binders: tuple
+    body: Statement
+
+
+@dataclass(frozen=True)
+class QuasiUQ(Statement):
+    premises: tuple
+    conclusion: Statement
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +481,29 @@ def _print(f: Formula, prec: int) -> str:
 
 def print_formula(f: Formula) -> str:
     return _print(f, 0)
+
+
+def print_statement(s: Statement) -> str:
+    if isinstance(s, Ineq):
+        sup = print_edge_set(s.sup)
+        sub = print_edge_set(s.sub)
+        return (f"{print_formula(s.lhs)} <=^{sup}_{sub} "
+                f"{print_formula(s.rhs)}")
+    if isinstance(s, MegaGuard):
+        es = print_edge_set(s.s)
+        guard = f"{s.m0} <=^{es}_{es} dia^{es} {s.m1}"
+        return (f"forall {s.m0} forall {s.m1} ({guard} => "
+                f"{print_statement(s.body)})")
+    if isinstance(s, UQIneq):
+        binders = " ".join(f"forall {b}" for b in s.binders)
+        return f"{binders} ({print_statement(s.body)})"
+    if isinstance(s, QuasiUQ):
+        prems = " & ".join(f"[{print_statement(p)}]" for p in s.premises)
+        if not prems:
+            prems = "[]"
+        return f"{prems} => [{print_statement(s.conclusion)}]"
+    msg = f"cannot print statement {s!r}"
+    raise ValueError(msg)
 
 
 # ---------------------------------------------------------------------------

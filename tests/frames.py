@@ -1,18 +1,20 @@
 """Every labelled frame, for tests that need them all and as the reference
 for `semantics.enumerate_frames`, which yields one frame per isomorphism
 class; every valuation of some names, one at a time, and valuations built
-from world sets; truth at one world; and `oracle_ext` and `oracle_holds`,
-the reference reading of ALBA's expanded language and statements."""
+from world sets; truth at one world; the propositions of a statement; the
+modal check of an inequality over its own propositions; and `oracle_ext`
+and `oracle_holds`, the reference reading of ALBA's expanded language and
+statements."""
 
 import itertools
 
 from sabcorr.syntax import (
-    And, Bot, Box, Dia, ExistsNom, ForallNom, GBox, Imp, InvLBox, InvLDia,
-    LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top,
+    And, Bot, Box, Dia, ExistsNom, ForallNom, GBox, Imp, Ineq, InvLBox,
+    InvLDia, LBox, LDia, MegaGuard, Nom, Not, Or, Prop, SBox, SDia, Top,
+    UQIneq, props_of,
 )
 from sabcorr.semantics import (
-    FRAME_CAP, Ineq, KripkeFrame, MegaGuard, UQIneq, extension,
-    statement_props,
+    FRAME_CAP, KripkeFrame, extension, frame_valid, valuation_blocks,
 )
 
 
@@ -42,6 +44,24 @@ def valuation(props=None, noms=None):
     from each nominal to its world."""
     masks = {k: sum(1 << w for w in set(v)) for k, v in (props or {}).items()}
     return {**masks, **(noms or {})}
+
+
+def statement_props(s):
+    """The propositions of statement s, at any depth."""
+    if isinstance(s, Ineq):
+        return props_of(s.lhs) | props_of(s.rhs)
+    if isinstance(s, (MegaGuard, UQIneq)):
+        return statement_props(s.body)
+    return frozenset().union(*map(statement_props, s.premises),
+                             statement_props(s.conclusion))
+
+
+def frame_holds(frame, ineq):
+    """`semantics.frame_valid` on the unlabelled inequality ineq, under the
+    layout of its own propositions."""
+    assert not (ineq.sup or ineq.sub), ineq
+    layout = valuation_blocks(frame.n, sorted(statement_props(ineq)))
+    return frame_valid(frame, ineq.lhs, ineq.rhs, layout)
 
 
 def satisfies(frame, val, deleted, w, f):

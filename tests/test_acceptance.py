@@ -10,14 +10,11 @@ import time
 from pathlib import Path
 
 from sabcorr.syntax import (
-    And, Bot, Box, Dia, ExistsNom, ForallNom, GBox, Imp, InvLBox,
-    InvLDia, LBox, LDia, Nom, Not, Or, Prop, SBox, SDia, Top, EMPTY_EDGES,
-    is_fixed, parse_inequality,
+    And, Bot, Box, Dia, ExistsNom, ForallNom, GBox, Imp, Ineq, InvLBox,
+    InvLDia, LBox, LDia, MegaGuard, Nom, Not, Or, Prop, QuasiUQ, SBox, SDia,
+    Top, UQIneq, EMPTY_EDGES, is_fixed, parse_inequality,
 )
-from sabcorr.semantics import (
-    Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq, frame_valid,
-    statement_props, valuation_blocks,
-)
+from sabcorr.semantics import KripkeFrame, frame_valid, valuation_blocks
 from sabcorr.sahlqvist import (
     find_order_type, has_critical_occurrence, is_definite, is_epsilon_sahlqvist,
 )
@@ -34,7 +31,10 @@ from sabcorr.cli import load_corpus
 from fo_equiv import (
     closure, fo_equiv_on_small_frames, free_names, translate_formula,
 )
-from frames import labelled_frames, oracle_holds, satisfies, valuation
+from frames import (
+    frame_holds, labelled_frames, oracle_holds, satisfies, statement_props,
+    valuation,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sahlqvist.txt"
 
@@ -248,10 +248,10 @@ def test_criterion_3_per_rule_soundness(capsys):
 
         # stage 1: uniform variable elimination (scripted instances)
         for frame in _frames2():
-            assert frame_valid(frame, Ineq(Not(p), p)) == \
-                frame_valid(frame, Ineq(Top(), Bot()))
-            assert frame_valid(frame, Ineq(p, Not(p))) == \
-                frame_valid(frame, Ineq(Top(), Bot()))
+            assert frame_holds(frame, Ineq(Not(p), p)) == \
+                frame_holds(frame, Ineq(Top(), Bot()))
+            assert frame_holds(frame, Ineq(p, Not(p))) == \
+                frame_holds(frame, Ineq(Top(), Bot()))
 
         # first approximation (i0/i1 closed universally)
         for lhs, rhs in [(Box(p), p), (Dia(p), p), (Top(), SDia(Top()))]:
@@ -402,7 +402,7 @@ def test_criterion_4_end_to_end_soundness(capsys):
                 holds = holds_on_frame(frames, closure(fo))
                 layout = valuation_blocks(frames[0].n, vars)
                 for k, frame in enumerate(frames):
-                    assert frame_valid(frame, iq, layout) == \
+                    assert frame_valid(frame, iq.lhs, iq.rhs, layout) == \
                         bool(holds >> k & 1), (label, frame)
     _report(capsys, "criterion 4 (end-to-end soundness, corpus x 530 frames)",
             300.0, run)

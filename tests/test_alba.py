@@ -12,14 +12,11 @@ import pytest
 from hypothesis import given, settings
 
 from sabcorr.syntax import (
-    And, Bot, Box, Dia, ExistsNom, GBox, Imp, InvLBox, InvLDia, LBox, LDia,
-    Nom, Not, Or, Prop, SBox, SDia, Top, EMPTY_EDGES, eliminate_iff,
-    occurrence_signs, parse_inequality,
+    And, Bot, Box, Dia, ExistsNom, GBox, Imp, Ineq, InvLBox, InvLDia, LBox,
+    LDia, Nom, Not, Or, Prop, SBox, SDia, Top, UQIneq, EMPTY_EDGES,
+    eliminate_iff, occurrence_signs, parse_inequality, print_statement,
 )
-from sabcorr.semantics import (
-    Ineq, UQIneq, frame_valid, print_statement,
-    statement_props, valuation_blocks,
-)
+from sabcorr.semantics import frame_valid, valuation_blocks
 from sabcorr import alba
 from sabcorr.alba import (
     AlbaFailure, AlbaSuccess, Guard, StageError, System,
@@ -29,7 +26,7 @@ from sabcorr.alba import (
 from sabcorr.cli import load_corpus
 from sabcorr.fol import correspondent, emit_fo
 
-from frames import labelled_frames
+from frames import frame_holds, labelled_frames, statement_props
 from test_golden import ROOT, _bench_module
 from test_syntax import _base_formulas
 
@@ -83,8 +80,8 @@ def test_distribution_preserves_meaning():
         assert g != f
         for n in (1, 2):
             for frame in labelled_frames(n):
-                assert frame_valid(frame, Ineq(f, g))
-                assert frame_valid(frame, Ineq(g, f))
+                assert frame_holds(frame, Ineq(f, g))
+                assert frame_holds(frame, Ineq(g, f))
 
 
 def test_preprocess_examples():
@@ -136,8 +133,9 @@ def test_preprocess_equivalent_on_small_frames():
         for n in (1, 2):
             layout = valuation_blocks(n, sorted(statement_props(src)))
             for frame in labelled_frames(n):
-                lhs = frame_valid(frame, src, layout)
-                rhs = all(frame_valid(frame, o, layout) for o in out)
+                lhs = frame_valid(frame, src.lhs, src.rhs, layout)
+                rhs = all(frame_valid(frame, o.lhs, o.rhs, layout)
+                          for o in out)
                 assert lhs == rhs, (text, frame)
 
 
@@ -459,11 +457,21 @@ def test_ackermann_keeps_items_without_p():
 
 
 def test_ackermann_substitutes_into_uq_bodies():
+    # besides a plain body, the shapes pack-3 and pack-4 make: a labelled
+    # body under its guards' binders, and a bare labelled Ineq; binders,
+    # sup and sub all survive the substitution
+    s23 = frozenset({("i2", "i3")})
     uq = UQIneq(("i2",), Ineq(Top(), Imp(p, Nom("i2"))))
-    sys = _sys([Ineq(Nom("i3"), p), uq])
+    guarded = UQIneq(("i2", "i3"), Ineq(
+        Top(), Imp(And(Nom("i2"), p), Nom("i3")), EMPTY_EDGES, s23))
+    bare = Ineq(Top(), Imp(p, Not(Nom("i1"))), EMPTY_EDGES, s23)
+    sys = _sys([Ineq(Nom("i4"), p), uq, guarded, bare])
     ackermann_eliminate(sys)
     assert sys.items == [
-        UQIneq(("i2",), Ineq(Top(), Imp(Nom("i3"), Nom("i2"))))]
+        UQIneq(("i2",), Ineq(Top(), Imp(Nom("i4"), Nom("i2")))),
+        UQIneq(("i2", "i3"), Ineq(Top(), Imp(And(Nom("i2"), Nom("i4")),
+                                             Nom("i3")), EMPTY_EDGES, s23)),
+        Ineq(Top(), Imp(Nom("i4"), Not(Nom("i1"))), EMPTY_EDGES, s23)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from sabcorr import cli, semantics
 from sabcorr.cli import load_corpus, main
-from sabcorr.syntax import _SYMBOLS, Box, Dia, Prop, parse_inequality
-from sabcorr.semantics import (
-    Ineq, enumerate_frames, frame_valid, statement_props, valuation_blocks,
-)
+from sabcorr.syntax import _SYMBOLS, Box, Dia, Ineq, Prop, parse_inequality
+from sabcorr.semantics import enumerate_frames, frame_valid, valuation_blocks
 from sabcorr.alba import run_alba
 from sabcorr.fol import correspondent, emit_fo, holds_on_frame
 
 from fo_equiv import free_names
-from frames import labelled_frames, oracle_holds, valuations
+from frames import (
+    frame_holds, labelled_frames, oracle_holds, statement_props, valuations,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sahlqvist.txt"
 
@@ -180,7 +180,7 @@ def test_verify_fail_names_the_first_failing_labelled_frame(monkeypatch,
         f"FAIL at n={frame.n}; edges={sorted(frame.r0)}: "
         f"input valid={valid}, correspondent={holds(frame)}\n"
         for n in (1, 2, 3) for frame in labelled_frames(n)
-        for valid in [frame_valid(frame, statement)]
+        for valid in [frame_holds(frame, statement)]
         if valid != holds(frame))
     assert expected.startswith("FAIL at n=2; edges=[(0, 0), (0, 1)]:")
     assert main(["verify", "--formula", "[]p -> p", "--max-worlds", "3"]) == 1
@@ -229,9 +229,9 @@ def _spy_layouts(monkeypatch):
         built.append(valuation_blocks(n, vars))
         return built[-1]
 
-    def check(frame, s, layout):
+    def check(frame, lhs, rhs, layout):
         used.append(layout)
-        return frame_valid(frame, s, layout)
+        return frame_valid(frame, lhs, rhs, layout)
     monkeypatch.setattr(cli, "valuation_blocks", build)
     monkeypatch.setattr(cli, "frame_valid", check)
     return built, used
@@ -292,8 +292,8 @@ def test_orbit_weighted_counts_match_labelled_counts():
     for label, ineq in load_corpus(CORPUS):
         for n in (1, 2):
             weighted = sum(orbit for frame, orbit in enumerate_frames(n)
-                           if frame_valid(frame, ineq))
-            labelled = sum(frame_valid(frame, ineq)
+                           if frame_holds(frame, ineq))
+            labelled = sum(frame_holds(frame, ineq)
                            for frame in labelled_frames(n))
             assert weighted == labelled, (label, n)
 

@@ -10,13 +10,10 @@ from pathlib import Path
 import pytest
 
 from sabcorr.syntax import (
-    And, Bot, Box, Dia, Iff, Nom, Or, Prop, SDia, Top, EMPTY_EDGES,
-    parse_inequality,
+    And, Bot, Box, Dia, Iff, Ineq, MegaGuard, Nom, Or, Prop, QuasiUQ, SDia,
+    Top, UQIneq, EMPTY_EDGES, parse_inequality,
 )
-from sabcorr.semantics import (
-    EvalError, Ineq, KripkeFrame, MegaGuard, QuasiUQ, UQIneq,
-    statement_props,
-)
+from sabcorr.semantics import EvalError, KripkeFrame
 from sabcorr.alba import AlbaSuccess, run_alba
 from sabcorr.cli import load_corpus
 from sabcorr.fol import (
@@ -29,7 +26,7 @@ from fo_equiv import (
     closure, fo_equiv_on_small_frames, free_names, pred_names,
     translate_formula,
 )
-from frames import labelled_frames, oracle_holds, valuations
+from frames import labelled_frames, oracle_holds, statement_props, valuations
 from test_golden import _bench_module
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sahlqvist.txt"

@@ -190,3 +190,59 @@ def test_scan_finds_a_process_wide_cache():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_process_wide_caches(path):
     assert cached_functions(path.read_text(encoding="utf-8")) == []
+
+
+# ALBA's statements and their printer.  `syntax` defines them, where every
+# module that reads them can import them; `semantics`, the modal check,
+# takes an inequality as its two sides and so needs none of them.
+STATEMENT_NAMES = {"Statement", "Ineq", "MegaGuard", "UQIneq", "QuasiUQ",
+                   "print_statement"}
+
+
+def statement_layering(package: dict) -> list:
+    """(module, name, fault) for each of STATEMENT_NAMES that the `package`
+    sources (module name -> source) place wrongly: 'missing' from the
+    module-level definitions of `syntax`, 'defined' at module level
+    anywhere else, or 'used' (imported, or read as a name or an attribute)
+    by `semantics`."""
+    faults = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        defined = {stmt.name for stmt in tree.body
+                   if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                        ast.ClassDef))}
+        if module == "syntax":
+            faults += [(module, n, "missing")
+                       for n in STATEMENT_NAMES - defined]
+        else:
+            faults += [(module, n, "defined")
+                       for n in STATEMENT_NAMES & defined]
+        if module == "semantics":
+            used = _reads(tree) | {
+                alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+            faults += [(module, n, "used") for n in STATEMENT_NAMES & used]
+    return sorted(faults)
+
+
+def test_scan_finds_misplaced_statements():
+    package = {"syntax": "class Statement:\n    pass\nclass Ineq:\n    pass\n"
+                         "class MegaGuard:\n    pass\n",
+               "semantics": "from .syntax import Ineq as I\n"
+                            "from . import syntax\nI, syntax.UQIneq\n"
+                            "def print_statement(s):\n    pass\n",
+               "alba": "class QuasiUQ:\n    pass\n"}
+    assert statement_layering(package) == [
+        ("alba", "QuasiUQ", "defined"),
+        ("semantics", "Ineq", "used"),
+        ("semantics", "UQIneq", "used"),
+        ("semantics", "print_statement", "defined"),
+        ("syntax", "QuasiUQ", "missing"),
+        ("syntax", "UQIneq", "missing"),
+        ("syntax", "print_statement", "missing")]
+
+
+def test_statements_live_in_syntax_alone():
+    package = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert statement_layering(package) == []

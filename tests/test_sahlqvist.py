@@ -7,10 +7,9 @@ import random
 import pytest
 
 from sabcorr.syntax import (
-    CONNECTIVES, And, Bot, Box, Dia, Iff, Imp, Not, Or, Prop, SBox, SDia, Top,
-    parse_inequality, props_of,
+    CONNECTIVES, And, Bot, Box, Dia, Iff, Imp, Ineq, Not, Or, Prop, SBox, SDia,
+    Top, parse_inequality, props_of,
 )
-from sabcorr.semantics import Ineq
 from sabcorr.sahlqvist import (
     JOIN, critical_branches, find_order_type, has_critical_occurrence,
     is_definite, is_epsilon_sahlqvist, is_excellent_branch, is_inner_sahlqvist,
