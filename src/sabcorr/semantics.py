@@ -3,26 +3,28 @@ evaluator, valuation layouts and frame enumeration.
 
 `extension` evaluates a formula of the base language, the one the parser
 accepts, to the bit mask of the worlds where it holds, in one walk that
-reads each node by its class.  [] <> [!] <!> read the current relation (r0
-minus the accumulated deleted edges).  ALBA's expanded language gets its
-meaning from the standard translation, `fol.st_statement`; here it raises
-EvalError.  `frame_valid` takes an inequality as its two sides, so none of
-ALBA's statements (in `syntax`) reaches the check.
+reads each node by its class.  Its state is the tuple of live arrows: []
+<> read them, and [!] <!> read their child once per live arrow, with that
+arrow taken out.  ALBA's expanded language gets its meaning from the
+standard translation, `fol.st_statement`; here it raises EvalError.
 
-A mask holds one block of `frame.width` bits per world, world w's at bit
-w*width, and bit v of a block reads valuation v; width 1 is the plain mask,
-world w at bit w.  A valuation maps each proposition to its mask (read by
-`value_of`; an unbound name raises EvalError).  `valuation_blocks` lays out
-every valuation of some names once per world count, for `frame_valid`.
+A mask holds one block of `width` bits per world, world w's at bit w*width,
+and bit v of a block reads valuation v; width 1 is the plain mask.  As in
+`fol`, masks are unbounded (every world is -1, negation is ~), and
+`eval_statement` alone cuts one to the frame's n*width bits.  A valuation
+maps each proposition to its mask (read by `value_of`).  `frame_valid`
+takes an inequality as its two sides, so none of ALBA's statements (in
+`syntax`) reaches the check, and reads every valuation of a
+`valuation_blocks` layout, built once per world count.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import (
-    And, Bot, Formula, Iff, Imp, Not, Or, Prop, Top, CONNECTIVES, EMPTY_EDGES,
+    And, Bot, Formula, Iff, Imp, Not, Or, Prop, Top, CONNECTIVES,
     print_formula,
 )
 
@@ -39,8 +41,6 @@ class EvalError(ValueError):
 class KripkeFrame:
     n: int
     r0: frozenset
-    width: int = 1  # bits per world: one per valuation read at once
-    full: int = field(init=False, repr=False, compare=False)  # every world
 
     def __post_init__(self):
         if self.n < 1:
@@ -50,7 +50,6 @@ class KripkeFrame:
             if not (0 <= a < self.n and 0 <= b < self.n):
                 msg = f"edge ({a},{b}) out of range for n={self.n}"
                 raise ValueError(msg)
-        object.__setattr__(self, "full", (1 << self.n * self.width) - 1)
 
 
 def value_of(val: dict, name: str) -> int:
@@ -63,67 +62,67 @@ def value_of(val: dict, name: str) -> int:
         raise EvalError(msg) from None
 
 
-def _pre(frame, pairs, mask: int) -> int:
-    """The worlds u with an arrow (u, v) in pairs to some v in mask: world
+def _pre(width: int, edges, mask: int) -> int:
+    """The worlds u with an arrow (u, v) in edges to some v in mask: world
     v's block of mask moved to world u's, per valuation."""
-    width = frame.width
     block = (1 << width) - 1
     out = 0
-    for u, v in pairs:
+    for u, v in edges:
         out |= (mask >> v * width & block) << u * width
     return out
 
 
 # The boolean connectives: a node's mask from its two children's.
 _BOOLEAN = {
-    And: lambda a, b, full: a & b,
-    Or: lambda a, b, full: a | b,
-    Imp: lambda a, b, full: a ^ full | b,
-    Iff: lambda a, b, full: a ^ b ^ full,
+    And: lambda a, b: a & b,
+    Or: lambda a, b: a | b,
+    Imp: lambda a, b: ~a | b,
+    Iff: lambda a, b: ~(a ^ b),
 }
 
 
-def extension(frame: KripkeFrame, val: dict, deleted: frozenset,
-              f: Formula) -> int:
-    """The bit mask of the worlds where f holds, the edges in deleted taken
-    out of the current relation; f is in the base language."""
+def extension(edges: tuple, width: int, val: dict, f: Formula) -> int:
+    """The unbounded mask of the worlds where f, in the base language,
+    holds on the live arrows edges, with width bits per world."""
     t = type(f)
     if t is Prop:
         return value_of(val, f.name)
     if t is Not:
-        return extension(frame, val, deleted, f.child) ^ frame.full
+        return ~extension(edges, width, val, f.child)
     if t is Top:
-        return frame.full
+        return -1
     if t is Bot:
         return 0
     op = _BOOLEAN.get(t)
     if op:
-        return op(extension(frame, val, deleted, f.left),
-                  extension(frame, val, deleted, f.right), frame.full)
+        return op(extension(edges, width, val, f.left),
+                  extension(edges, width, val, f.right))
     # a modality: the union of the child's masks over its range; if it is
     # universal, each mask and the union are complemented (not exists not)
     row = CONNECTIVES[t]
-    flip = 0 if row.quantifier == "exists" else frame.full
+    flip = 0 if row.quantifier == "exists" else -1
     if row.range == "succ":
-        out = _pre(frame, frame.r0 - deleted if deleted else frame.r0,
-                   extension(frame, val, deleted, f.child) ^ flip)
+        out = _pre(width, edges, extension(edges, width, val, f.child) ^ flip)
     elif row.range == "edge":
         out = 0
-        for e in frame.r0 - deleted:
-            out |= extension(frame, val, deleted | {e}, f.child) ^ flip
+        for k in range(len(edges)):
+            out |= extension(edges[:k] + edges[k + 1:], width, val,
+                             f.child) ^ flip
     else:
         msg = f"the modal check has no rule for {print_formula(f)}"
         raise EvalError(msg)
     return out ^ flip
 
 
-def eval_statement(frame: KripkeFrame, val: dict, lhs: Formula,
+def eval_statement(frame: KripkeFrame, width: int, val: dict, lhs: Formula,
                    rhs: Formula) -> bool:
-    """Whether no world of lhs lies outside rhs under val: the test of one
-    chunk of `frame_valid`.  It keeps its name, from when it read a whole
-    statement, because `bench/spans.py` counts its calls."""
-    return not (extension(frame, val, EMPTY_EDGES, lhs)
-                & ~extension(frame, val, EMPTY_EDGES, rhs))
+    """Whether no world of lhs lies outside rhs under val, width bits per
+    world: one chunk of `frame_valid`, where masks are cut to the frame.
+    It keeps its old name because `bench/spans.py` counts its calls."""
+    edges = tuple(frame.r0)
+    return not (extension(edges, width, val, lhs)
+                & ~extension(edges, width, val, rhs)
+                & (1 << frame.n * width) - 1)
 
 
 def valuation_blocks(n: int, vars) -> tuple:
@@ -152,14 +151,13 @@ def frame_valid(frame: KripkeFrame, lhs: Formula, rhs: Formula,
     `eval_statement` call reads one chunk c of them at once: low, with the
     all-ones block of high[i] ORed in for each set bit i of c."""
     width, low, high = layout
-    wide = KripkeFrame(frame.n, frame.r0, width)
     ones = (1 << width) - 1
     for chunk in range(1 << len(high)):
         val = dict(low) if chunk else low  # the layout is shared: no writes
         for c, (name, w) in enumerate(high):
             if chunk >> c & 1:
                 val[name] |= ones << w * width
-        if not eval_statement(wide, val, lhs, rhs):
+        if not eval_statement(frame, width, val, lhs, rhs):
             return False
     return True
 

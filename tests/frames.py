@@ -66,8 +66,8 @@ def frame_holds(frame, ineq):
 
 def satisfies(frame, val, deleted, w, f):
     """Whether f holds at world w with the edges in deleted removed: bit w
-    of `semantics.extension`."""
-    return bool(extension(frame, val, deleted, f) >> w & 1)
+    of `semantics.extension` on the live arrows r0 - deleted."""
+    return bool(extension(tuple(frame.r0 - deleted), 1, val, f) >> w & 1)
 
 
 # ---------------------------------------------------------------------------

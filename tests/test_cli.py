@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, formats, corpus handling."""
 
 import contextlib
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -247,6 +248,23 @@ def test_verify_builds_one_layout_per_world_count(monkeypatch, capsys):
     assert [id(layout) for layout in used] == [
         id(layout) for layout, size in zip(built, sizes)
         for _ in range(size)]
+
+
+def test_verify_builds_one_frame_per_class(monkeypatch, capsys):
+    # a frame holds only its worlds and arrows: the modal check takes the
+    # mask width as an argument and builds no frame of its own per class
+    assert [f.name for f in dataclasses.fields(semantics.KripkeFrame)] == \
+        ["n", "r0"]
+    built = []
+    check = semantics.KripkeFrame.__post_init__
+
+    def count(frame):
+        built.append(frame)
+        check(frame)
+    monkeypatch.setattr(semantics.KripkeFrame, "__post_init__", count)
+    assert main(["verify", "--formula", "[]p -> p", "--max-worlds", "3"]) == 0
+    assert capsys.readouterr().out == "PASS over 530 frames (n <= 3)\n"
+    assert len(built) == 2 + 10 + 104  # the classes enumerate_frames yields
 
 
 def test_corpus_builds_one_layout_per_world_count(monkeypatch, capsys):

@@ -84,7 +84,8 @@ def test_satisfies_matches_oracle_exhaustively():
                 rel = set(frame.r0 - deleted)
                 for f in _POOL:
                     ext = oracle_ext(f, worlds, frame.r0, rel, props, {})
-                    assert extension(frame, val, deleted, f) == \
+                    mask = extension(tuple(rel), 1, val, f)
+                    assert mask & (1 << frame.n) - 1 == \
                         sum(1 << w for w in ext), (frame, val, deleted, f)
                     if not deleted:
                         for w in worlds:
@@ -138,7 +139,7 @@ def test_unbound_nominal_raises_where_a_pointwise_reading_skipped_it(f):
     with pytest.raises(EvalError):
         satisfies(empty, {}, frozenset(), 0, f)
     with pytest.raises(EvalError):
-        eval_statement(empty, {}, Top(), f)
+        eval_statement(empty, 1, {}, Top(), f)
 
 
 def test_unbound_variable_raises():
@@ -146,7 +147,7 @@ def test_unbound_variable_raises():
     # set: frame_valid over a layout of a subset of the variables raises too
     frame = KripkeFrame(2, frozenset({(0, 1)}))
     with pytest.raises(EvalError, match="no value for 'q' in the valuation"):
-        extension(frame, {"p": 1}, frozenset(), Or(p, q))
+        extension(tuple(frame.r0), 1, {"p": 1}, Or(p, q))
     with pytest.raises(EvalError, match="no value for 'q' in the valuation"):
         frame_valid(frame, p, q, valuation_blocks(2, ["p"]))
     assert not frame_holds(frame, Ineq(p, q))
@@ -164,10 +165,10 @@ def test_frame_validation():
 
 def test_eval_statement_examples():
     for frame in _frames(2):
-        assert eval_statement(frame, {}, Bot(), Top())
+        assert eval_statement(frame, 1, {}, Bot(), Top())
     frame = KripkeFrame(2, frozenset({(0, 1)}))
-    assert eval_statement(frame, {"p": 0b10}, Dia(p), Top())
-    assert not eval_statement(frame, {"p": 0b10}, Top(), Dia(p))
+    assert eval_statement(frame, 1, {"p": 0b10}, Dia(p), Top())
+    assert not eval_statement(frame, 1, {"p": 0b10}, Top(), Dia(p))
 
 
 def test_inequality_proposition_bullets():
@@ -295,13 +296,13 @@ def test_valuations_count_and_mask_order():
 
 
 def _eval_calls(monkeypatch, frame, names):
-    """The (frame, valuation) pairs that frame_valid hands to
+    """The (frame, width, valuation) triples that frame_valid hands to
     eval_statement, in order, for a statement over `names`, given the
     layout of `names`."""
     calls = []
 
-    def record(wide, val, lhs, rhs):
-        calls.append((wide, val))
+    def record(frame, width, val, lhs, rhs):
+        calls.append((frame, width, val))
         return True
     monkeypatch.setattr(semantics, "eval_statement", record)
     layout = valuation_blocks(frame.n, names)
@@ -318,12 +319,12 @@ def test_block_layout(monkeypatch, block_bits):
         frame = KripkeFrame(n, frozenset())
         names = ["p", "q", "r"][:k]
         calls = _eval_calls(monkeypatch, frame, names)
-        width = calls[0][0].width
+        width = calls[0][1]
         assert width == 2 ** min(n * k, block_bits)
         assert len(calls) * width == 2 ** (n * k)
         for v, expected in enumerate(valuations(frame, names)):
-            wide, val = calls[v // width]
-            assert (wide.n, wide.r0) == (frame.n, frame.r0)
+            got, got_width, val = calls[v // width]
+            assert (got, got_width) == (frame, width)
             assert list(val) == names
             for name, w in itertools.product(names, range(n)):
                 assert (val[name] >> (w * width + v % width) & 1

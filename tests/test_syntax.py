@@ -50,13 +50,14 @@ def test_every_formula_class_has_a_row():
               InvLDia(EMPTY_EDGES, p), InvLBox(EMPTY_EDGES, p), GBox(p),
               ForallNom("i0", p), ExistsNom("i0", p)]
     assert {type(f) for f in [*read, *unread]} == quantifying
+    edges = tuple(frame.r0)
     for f in [*read, *unread]:
         if CONNECTIVES[type(f)].token:
             assert semantics.extension(
-                frame, {"p": 0b10}, EMPTY_EDGES, f) == read[f], f
+                edges, 1, {"p": 0b10}, f) & 0b11 == read[f], f
         else:
             with pytest.raises(semantics.EvalError, match="no rule for"):
-                semantics.extension(frame, {"p": 0b10}, EMPTY_EDGES, f)
+                semantics.extension(edges, 1, {"p": 0b10}, f)
     assert all(row.quantifier is None for cls, row in CONNECTIVES.items()
                if cls not in quantifying)
 
