@@ -92,67 +92,52 @@ def _guard(x: str, y: str, pairs) -> list:
                          for (v, w) in pairs)]
 
 
-# One rule per range of a quantifying connective (`syntax.Connective.range`):
-# for the node f translated at x under the deleted pairs e, the names it
-# binds, drawn in order, the guard atoms on them, and the point and the
-# deleted pairs at which its child is translated.
-
-def _succ(gen, x, e, f):
-    y = next(gen)
-    return (y,), _guard(x, y, e), y, e
-
-
-def _edge(gen, x, e, f):
-    y, z = next(gen), next(gen)
-    return (y, z), _guard(y, z, e), x, e + ((y, z),)
-
-
-def _label(gen, x, e, f):
-    y = next(gen)
-    return (y,), _guard(x, y, tuple(sorted(f.s))), y, e
-
-
-def _inv(gen, x, e, f):
-    y = next(gen)
-    return (y,), _guard(y, x, tuple(sorted(f.s))), y, e
-
-
-def _world(gen, x, e, f):
-    y = next(gen)
-    return (y,), [], y, e
-
-
-def _nom(gen, x, e, f):
-    return (f.nom,), [], x, e
-
-
-RANGES = {"succ": _succ, "edge": _edge, "label": _label, "inv": _inv,
-          "world": _world, "nom": _nom}
-
-# The binary connectives, from the translations of their two sides.
-_BINARY = {And: lambda a, b: FOAnd((a, b)), Or: lambda a, b: FOOr((a, b)),
-           Imp: FOImp, Iff: lambda a, b: FOAnd((FOImp(a, b), FOImp(b, a)))}
-
-
 def st_formula(f: Formula, x: str, e: tuple, gen) -> FOFormula:
-    if isinstance(f, Bot):
+    """The standard translation of f at the point x under the deleted
+    pairs e, its bound names drawn in order from gen.  A new range needs
+    its branch here and, in the base language, in `semantics.extension`."""
+    t = type(f)
+    if t is Bot:
         return FONot(Eq(x, x))
-    if isinstance(f, Top):
+    if t is Top:
         return Eq(x, x)
-    if isinstance(f, Prop):
+    if t is Prop:
         return Pred(f.name, x)
-    if isinstance(f, Nom):
+    if t is Nom:
         return Eq(x, f.name)
-    if isinstance(f, Not):
+    if t is Not:
         return FONot(st_formula(f.child, x, e, gen))
-    if type(f) in _BINARY:
+    if t in (And, Or, Imp, Iff):
         # each side is translated once, the left first
-        return _BINARY[type(f)](st_formula(f.left, x, e, gen),
-                                st_formula(f.right, x, e, gen))
-    row = CONNECTIVES[type(f)]
+        a, b = st_formula(f.left, x, e, gen), st_formula(f.right, x, e, gen)
+        if t is Imp:
+            return FOImp(a, b)
+        if t is Iff:
+            return FOAnd((FOImp(a, b), FOImp(b, a)))
+        return (FOAnd if t is And else FOOr)((a, b))
+    # a quantifying node: its child is read at y, a fresh point for a range
+    # of points and x otherwise; it binds y, its nominal or a fresh edge
+    row = CONNECTIVES[t]
+    y = next(gen) if row.range in ("succ", "label", "inv", "world") else x
+    binders, deleted = (y,), e
+    if row.range == "nom":
+        binders, guard = (f.nom,), []
+    elif row.range == "edge":
+        binders = next(gen), next(gen)
+        guard, deleted = _guard(*binders, e), e + (binders,)
+    elif row.range == "succ":
+        guard = _guard(x, y, e)
+    elif row.range == "label":
+        guard = _guard(x, y, sorted(f.s))
+    elif row.range == "inv":
+        guard = _guard(y, x, sorted(f.s))
+    elif row.range == "world":
+        guard = []
+    else:
+        msg = f"cannot translate {f!r}"
+        raise ValueError(msg)
     # exists b. (guard & body), or forall b. (guard -> body)
-    binders, guard, point, deleted = RANGES[row.range](gen, x, e, f)
-    out = st_formula(f.child, point, deleted, gen)
+    out = st_formula(f.child, y, deleted, gen)
     exists = row.quantifier == "exists"
     if guard:
         out = FOAnd((*guard, out)) if exists else FOImp(fo_and(guard), out)

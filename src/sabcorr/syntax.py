@@ -19,8 +19,8 @@ in signed generation trees, the sign of each child, the signs at which it
 is an outer or an inner node, how it is printed and parsed, and, for a
 modality or a nominal quantifier, its quantifier and the range it
 quantifies over.  Adding a connective means adding its class and
-its row here; a new range also needs its translation rule in `fol.RANGES`,
-and a new range in the base language its branch in `semantics.extension`.
+its row here; a new range also needs its branch in `fol.st_formula`, and
+a new range in the base language its branch in `semantics.extension`.
 """
 
 from __future__ import annotations
@@ -232,10 +232,10 @@ class Connective:
     the token.
     quantifier, range: given together as `quantifies` by a modality or a
     nominal quantifier, 'exists' or 'forall' and the name of the points
-    it quantifies over (succ, edge, label, inv, world, nom); per range,
-    `fol.RANGES` gives its standard translation, and `semantics.extension`
-    reads the base ranges succ and edge, one branch each, as the union of
-    the child's masks over the range.  None for other nodes.
+    it quantifies over (succ, edge, label, inv, world, nom); each range
+    has its branch in `fol.st_formula`, and the base ranges succ and edge
+    theirs in `semantics.extension`, the union of the child's masks over
+    the range.  None for other nodes.
     children, rebuild: read the children of a node, and copy a node with
     new children.
     """

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from sabcorr.syntax import (
-    And, Bot, Box, Dia, Iff, Ineq, MegaGuard, Nom, Or, Prop, QuasiUQ, SDia,
-    Top, UQIneq, EMPTY_EDGES, parse_inequality,
+    And, Bot, Box, Dia, GBox, Iff, Ineq, MegaGuard, Nom, Or, Prop, QuasiUQ,
+    SDia, Top, UQIneq, CONNECTIVES, EMPTY_EDGES, parse_inequality,
 )
 from sabcorr.semantics import EvalError, KripkeFrame
 from sabcorr.alba import AlbaSuccess, run_alba
@@ -69,6 +69,13 @@ def test_st_iff_translates_each_side_once():
 def test_st_empty_exclusion_dropped():
     out = translate_formula(Dia(Top()))
     assert out == FOExists("y0", FOAnd((Rel("x", "y0"), Eq("y0", "y0"))))
+
+
+def test_st_unknown_range_fails_loudly(monkeypatch):
+    # a range st_formula has no branch for is not read as another
+    monkeypatch.setattr(CONNECTIVES[GBox], "range", "bogus")
+    with pytest.raises(ValueError, match="cannot translate GBox"):
+        translate_formula(GBox(p))
 
 
 # ---------------------------------------------------------------------------

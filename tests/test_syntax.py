@@ -13,6 +13,8 @@ from sabcorr.syntax import (
     parse_inequality, print_formula, props_of, substitute_prop,
 )
 
+from fo_equiv import translate_formula
+
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
 
@@ -39,12 +41,28 @@ def test_every_formula_class_has_a_row():
     assert quantifying == {Dia, Box, SDia, SBox, LDia, LBox, InvLDia,
                            InvLBox, GBox, ForallNom, ExistsNom}
     for cls in quantifying:
-        row = CONNECTIVES[cls]
-        assert row.quantifier in ("exists", "forall"), cls
-        assert row.range in fol.RANGES, cls
-    # the modal check evaluates the modalities the parser reads and no other
-    # quantifying node: on 0 -> 1 with p at world 1
+        assert CONNECTIVES[cls].quantifier in ("exists", "forall"), cls
+    # the standard translation reads every quantifying node: on 0 -> 1 with
+    # p at world 1, i0 at world 0 and i1 at world 1, the mask of the worlds
+    # x where it holds; the label (i0, i1) is the arrow, (i1, i0) is none,
+    # and a sabotage node reads its child with the arrow deleted
     frame = semantics.KripkeFrame(2, frozenset({(0, 1)}))
+    arrow, none = frozenset({("i0", "i1")}), frozenset({("i1", "i0")})
+    translated = {
+        Dia(p): 0b01, Box(p): 0b11, SDia(Dia(p)): 0b00,
+        SBox(Box(Not(p))): 0b11, LDia(arrow, p): 0b00,
+        LBox(arrow, Not(p)): 0b11, InvLDia(none, Not(p)): 0b10,
+        InvLBox(arrow, p): 0b11, GBox(p): 0b00,
+        ForallNom("i1", Imp(Nom("i1"), p)): 0b10,
+        ExistsNom("i0", And(Nom("i0"), p)): 0b10,
+    }
+    assert {type(f) for f in translated} == quantifying
+    for f, expected in translated.items():
+        fo = translate_formula(f)
+        assert sum(fol.eval_fo([frame], {"p": 0b10, "i0": 0, "i1": 1, "x": w},
+                               fo) << w for w in range(2)) == expected, f
+    # the modal check evaluates the modalities the parser reads and no other
+    # quantifying node, on the same frame
     read = {Dia(p): 0b01, Box(p): 0b11, SDia(p): 0b10, SBox(p): 0b10}
     unread = [LDia(EMPTY_EDGES, p), LBox(EMPTY_EDGES, p),
               InvLDia(EMPTY_EDGES, p), InvLBox(EMPTY_EDGES, p), GBox(p),
