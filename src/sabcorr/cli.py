@@ -124,25 +124,26 @@ def cmd_correspond(args) -> int:
 
 
 def _classes(max_worlds: int):
-    """Per world count up to max_worlds, the list of one frame per
-    isomorphism class as (frame, orbit), in enumeration order; orbit counts
+    """Per world count n = 1..max_worlds, the list of one frame per
+    isomorphism class as (edges, orbit), in enumeration order; orbit counts
     the labelled frames of the class."""
     for n in range(1, max_worlds + 1):
         yield list(enumerate_frames(n))
 
 
 def _check(ineq: Ineq, fo, classes):
-    """Yield (frame, orbit, input valid, correspondent holds) for each
-    (frame, orbit) of each list in classes, whose frames share one size.
-    Both verdicts are the same on every frame of a class.  The simplified
+    """Yield (n, edges, orbit, input valid, correspondent holds) for each
+    (edges, orbit) of the n-th list in classes, frames on n worlds.  Both
+    verdicts are the same on every frame of a class.  The simplified
     correspondent (no free names) and the layout are built once per list."""
     vars = sorted(props_of(ineq.lhs) | props_of(ineq.rhs))
     sentence = simplify(fo)
-    for size in classes:
-        holds = holds_on_frame([frame for frame, _ in size], sentence)
-        layout = valuation_blocks(size[0][0].n, vars)
-        for k, (frame, orbit) in enumerate(size):
-            yield (frame, orbit, frame_valid(frame, ineq.lhs, ineq.rhs, layout),
+    for n, size in enumerate(classes, 1):
+        holds = holds_on_frame(n, [edges for edges, _ in size], sentence)
+        layout = valuation_blocks(n, vars)
+        for k, (edges, orbit) in enumerate(size):
+            yield (n, edges, orbit,
+                   frame_valid(n, edges, ineq.lhs, ineq.rhs, layout),
                    bool(holds >> k & 1))
 
 
@@ -157,10 +158,10 @@ def cmd_verify(args) -> int:
     # holds on a whole class, so the first FAIL is at the least labelled
     # failing frame
     checked = 0
-    for frame, orbit, lhs, rhs in _check(ineq, correspondent(result.quasis),
-                                         _classes(args.max_worlds)):
+    for n, edges, orbit, lhs, rhs in _check(
+            ineq, correspondent(result.quasis), _classes(args.max_worlds)):
         if lhs != rhs:
-            print(f"FAIL at n={frame.n}; edges={sorted(frame.r0)}: "
+            print(f"FAIL at n={n}; edges={sorted(edges)}: "
                   f"input valid={lhs}, correspondent={rhs}")
             return 1
         checked += orbit
@@ -209,7 +210,7 @@ def cmd_corpus(args) -> int:
                 print(f"{label:30} alba-failure: {result.reason}")
             all_ok = False
             continue
-        ok = all(lhs == rhs for _, _, lhs, rhs in
+        ok = all(lhs == rhs for *_, lhs, rhs in
                  _check(ineq, correspondent(result.quasis), classes))
         status = "verified" if ok else "MISMATCH"
         all_ok = all_ok and ok
@@ -279,6 +280,9 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:
         print("input nested too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("out of memory", file=sys.stderr)
         return 2
 
 

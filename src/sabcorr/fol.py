@@ -87,7 +87,7 @@ def fo_and(parts) -> FOFormula:
 
 
 def _guard(x: str, y: str, pairs) -> list:
-    """The atoms saying that (x,y) is an edge of r0 and none of the pairs."""
+    """The atoms saying that (x,y) is an arrow and none of the pairs."""
     return [Rel(x, y), *(FONot(FOAnd((Eq(x, v), Eq(y, w))))
                          for (v, w) in pairs)]
 
@@ -178,8 +178,9 @@ def correspondent(quasis) -> FOFormula:
 # ---------------------------------------------------------------------------
 # evaluation
 
-# Evaluation reads every frame of one size at once.  A subformula's table
-# is (names, masks): names are its free names that a quantifier above it
+# Evaluation reads every frame on n worlds at once, each as its arrow tuple,
+# and cells maps an arrow to the mask of the frames with it.  A subformula's
+# table is (names, masks): names are its free names that a quantifier above it
 # binds, sorted, and masks holds one int per assignment of them, the first
 # name varying slowest, with bit k set where it holds on frame k.  A mask is
 # read as an unbounded bit string, so every frame is -1 and negation is ~.
@@ -250,14 +251,13 @@ def _table(frames: _Frames, bound: frozenset, f: FOFormula):
                    for i in range(frames.n ** len(names))]
 
 
-def eval_fo(frames, val: dict, f: FOFormula) -> int:
+def eval_fo(n: int, frames, val: dict, f: FOFormula) -> int:
     """The mask of the frames where f holds, frame k at bit k.  The frames
-    are at least one and have one size; f's free names and predicates are
-    read from the valuation."""
-    (n,) = {frame.n for frame in frames}
+    are the arrow tuples of frames on n worlds; f's free names and
+    predicates are read from the valuation."""
     cells = defaultdict(int)
-    for k, frame in enumerate(frames):
-        for cell in frame.r0:
+    for k, edges in enumerate(frames):
+        for cell in edges:
             cells[cell] |= 1 << k
     _, (mask,) = _table(_Frames(n, cells, val), frozenset(), f)
     return mask & (1 << len(frames)) - 1
@@ -282,10 +282,10 @@ def _fo_children(f: FOFormula) -> tuple:
     return _FO_NODES[type(f)][2](f)
 
 
-def holds_on_frame(frames, sentence: FOFormula) -> int:
-    """The mask of the frames, all of one size, where the sentence holds,
-    frame k at bit k.  It has no free name and reads no predicate."""
-    return eval_fo(frames, {}, sentence)
+def holds_on_frame(n: int, frames, sentence: FOFormula) -> int:
+    """The mask of the frames, arrow tuples on n worlds, where the sentence
+    holds, frame k at bit k.  It has no free name and reads no predicate."""
+    return eval_fo(n, frames, {}, sentence)
 
 
 # ---------------------------------------------------------------------------

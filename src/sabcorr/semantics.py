@@ -1,5 +1,6 @@
-"""Finite Kripke semantics with edge deletion: frames, the base-language
-evaluator, valuation layouts and frame enumeration.
+"""Finite Kripke semantics with edge deletion, on a frame read as its
+world count n and the tuple of its arrows, as `enumerate_frames` yields
+it: the base-language evaluator, valuation layouts and frame enumeration.
 
 `extension` evaluates a formula of the base language, the one the parser
 accepts, to the bit mask of the worlds where it holds, in one walk that
@@ -21,7 +22,6 @@ takes an inequality as its two sides, so none of ALBA's statements (in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .syntax import (
     And, Bot, Formula, Iff, Imp, Not, Or, Prop, Top, CONNECTIVES,
@@ -35,21 +35,6 @@ BLOCK_BITS = 16
 
 class EvalError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class KripkeFrame:
-    n: int
-    r0: frozenset
-
-    def __post_init__(self):
-        if self.n < 1:
-            msg = f"frame needs at least one world, got n={self.n}"
-            raise ValueError(msg)
-        for (a, b) in self.r0:
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                msg = f"edge ({a},{b}) out of range for n={self.n}"
-                raise ValueError(msg)
 
 
 def value_of(val: dict, name: str) -> int:
@@ -114,15 +99,14 @@ def extension(edges: tuple, width: int, val: dict, f: Formula) -> int:
     return out ^ flip
 
 
-def eval_statement(frame: KripkeFrame, width: int, val: dict, lhs: Formula,
-                   rhs: Formula) -> bool:
-    """Whether no world of lhs lies outside rhs under val, width bits per
-    world: one chunk of `frame_valid`, where masks are cut to the frame.
-    It keeps its old name because `bench/spans.py` counts its calls."""
-    edges = tuple(frame.r0)
+def eval_statement(n: int, edges: tuple, width: int, val: dict,
+                   lhs: Formula, rhs: Formula) -> bool:
+    """Whether no world of lhs lies outside rhs under val on the frame
+    (n, edges): one chunk of `frame_valid`, where masks are cut to the
+    frame.  It keeps its old name because `bench/spans.py` counts it."""
     return not (extension(edges, width, val, lhs)
                 & ~extension(edges, width, val, rhs)
-                & (1 << frame.n * width) - 1)
+                & (1 << n * width) - 1)
 
 
 def valuation_blocks(n: int, vars) -> tuple:
@@ -144,12 +128,13 @@ def valuation_blocks(n: int, vars) -> tuple:
     return width, low, high
 
 
-def frame_valid(frame: KripkeFrame, lhs: Formula, rhs: Formula,
+def frame_valid(n: int, edges: tuple, lhs: Formula, rhs: Formula,
                 layout: tuple) -> bool:
-    """True iff lhs <= rhs holds under every valuation of layout, the
-    `valuation_blocks` of frame.n and the propositions of both sides.  Each
-    `eval_statement` call reads one chunk c of them at once: low, with the
-    all-ones block of high[i] ORed in for each set bit i of c."""
+    """True iff lhs <= rhs holds on the frame (n, edges) under every
+    valuation of layout, the `valuation_blocks` of n and the propositions
+    of both sides.  Each `eval_statement` call reads one chunk c of them at
+    once: low, with the all-ones block of high[i] ORed in for each set bit
+    i of c."""
     width, low, high = layout
     ones = (1 << width) - 1
     for chunk in range(1 << len(high)):
@@ -157,7 +142,7 @@ def frame_valid(frame: KripkeFrame, lhs: Formula, rhs: Formula,
         for c, (name, w) in enumerate(high):
             if chunk >> c & 1:
                 val[name] |= ones << w * width
-        if not eval_statement(frame, width, val, lhs, rhs):
+        if not eval_statement(n, edges, width, val, lhs, rhs):
             return False
     return True
 
@@ -186,12 +171,12 @@ def _relabellings(n: int, h: int):
 
 
 def enumerate_frames(n: int):
-    """One frame per isomorphism class on {0..n-1}, as (frame, orbit).
+    """One frame per isomorphism class on {0..n-1}, as (edges, orbit).
 
-    An edge set is read as an n*n-bit mask, cell (i,j) at bit i*n+j.  The
-    frame is the class member with the least mask, classes come in
-    ascending mask order, and orbit is the number of labelled frames in the
-    class, so the orbits sum to 2^(n*n).
+    An edge set is read as an n*n-bit mask, cell (i,j) at bit i*n+j.  edges
+    holds the arrows of the class member with the least mask, each once and
+    unsorted; classes come in ascending mask order, and orbit is the number
+    of labelled frames in the class, so the orbits sum to 2^(n*n).
     """
     if not 1 <= n <= FRAME_CAP:
         msg = f"world count {n} outside 1..{FRAME_CAP}"
@@ -214,6 +199,5 @@ def enumerate_frames(n: int):
                  for table_lo, table_hi in relabellings}
         for image in orbit:
             seen[image] = 1
-        yield (KripkeFrame(n, frozenset(edges_low[lo] + edges_high[hi])),
-               len(orbit))
+        yield edges_low[lo] + edges_high[hi], len(orbit)
         mask = seen.find(0, mask + 1)

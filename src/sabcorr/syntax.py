@@ -9,7 +9,7 @@ printable but not parseable; the parser rejects the nominal names i0, i1,
 them.
 
 ALBA's statements are the inequality `Ineq` (lhs <=^sup_sub rhs, each side
-read under r0 minus its labelled edges) and the forms built on it:
+read under R minus its labelled edges) and the forms built on it:
 `MegaGuard`, `UQIneq` and `QuasiUQ`.  They live here, where `sahlqvist`,
 `alba`, `fol` and `cli` can all import them; `print_statement` prints them
 and `fol.st_statement` gives them their meaning.
@@ -117,7 +117,7 @@ class SDia(Formula):
 
 @dataclass(frozen=True)
 class LBox(Formula):
-    """box^S : universal over r0 minus the edges labeled by S."""
+    """box^S : universal over R minus the edges labeled by S."""
 
     s: EdgeLabelSet
     child: Formula
@@ -131,7 +131,7 @@ class LDia(Formula):
 
 @dataclass(frozen=True)
 class InvLBox(Formula):
-    """inv-box^S : universal over the converse of r0 minus S."""
+    """inv-box^S : universal over the converse of R minus S."""
 
     s: EdgeLabelSet
     child: Formula

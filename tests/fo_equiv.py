@@ -7,10 +7,10 @@ formula."""
 import itertools
 
 from sabcorr.fol import (
-    Eq, FOExists, FOForall, Pred, Rel, eval_fo, st_formula, _fo_children,
+    Eq, FOExists, FOForall, Pred, Rel, st_formula, _fo_children,
 )
 
-from frames import labelled_frames, valuations
+from frames import fo_mask, labelled_frames, valuations
 
 
 def free_names(f):
@@ -57,6 +57,6 @@ def fo_equiv_on_small_frames(f1, f2, max_n=3, vars=()):
         for val in valuations(frames[0], vars):
             for worlds in itertools.product(range(n), repeat=len(names)):
                 v = {**val, **dict(zip(names, worlds))}
-                if eval_fo(frames, v, f1) != eval_fo(frames, v, f2):
+                if fo_mask(frames, v, f1) != fo_mask(frames, v, f2):
                     return False
     return True

@@ -1,12 +1,14 @@
-"""Every labelled frame, for tests that need them all and as the reference
-for `semantics.enumerate_frames`, which yields one frame per isomorphism
-class; every valuation of some names, one at a time, and valuations built
-from world sets; truth at one world; the propositions of a statement; the
-modal check of an inequality over its own propositions; and `oracle_ext`
-and `oracle_holds`, the reference reading of ALBA's expanded language and
-statements."""
+"""The tests' own frame, `KripkeFrame`: its world count and its arrows as
+a set, which the set-based oracles read; every labelled frame, for tests
+that need them all and as the reference for `semantics.enumerate_frames`,
+which yields one frame per isomorphism class as an arrow tuple; every
+valuation of some names, one at a time, and valuations built from world
+sets; truth at one world; the propositions of a statement; both checks on
+test frames; and `oracle_ext` and `oracle_holds`, the reference reading of
+ALBA's expanded language and statements."""
 
 import itertools
+from collections import namedtuple
 
 from sabcorr.syntax import (
     And, Bot, Box, Dia, ExistsNom, ForallNom, GBox, Imp, Ineq, InvLBox,
@@ -14,8 +16,18 @@ from sabcorr.syntax import (
     UQIneq, props_of,
 )
 from sabcorr.semantics import (
-    FRAME_CAP, KripkeFrame, extension, frame_valid, valuation_blocks,
+    FRAME_CAP, extension, frame_valid, valuation_blocks,
 )
+from sabcorr.fol import eval_fo
+
+# A frame on worlds 0..n-1 with the arrows r0, a frozenset; the program
+# reads a frame as n and the tuple of its arrows (`arrows`).
+KripkeFrame = namedtuple("KripkeFrame", "n r0")
+
+
+def arrows(frame):
+    """The frame's arrows as the tuple the program reads, in sorted order."""
+    return tuple(sorted(frame.r0))
 
 
 def labelled_frames(n):
@@ -56,12 +68,18 @@ def statement_props(s):
                              statement_props(s.conclusion))
 
 
+def fo_mask(frames, val, f):
+    """`fol.eval_fo` on frames of one size: bit k is frame k's verdict."""
+    (n,) = {frame.n for frame in frames}
+    return eval_fo(n, list(map(arrows, frames)), val, f)
+
+
 def frame_holds(frame, ineq):
     """`semantics.frame_valid` on the unlabelled inequality ineq, under the
     layout of its own propositions."""
     assert not (ineq.sup or ineq.sub), ineq
     layout = valuation_blocks(frame.n, sorted(statement_props(ineq)))
-    return frame_valid(frame, ineq.lhs, ineq.rhs, layout)
+    return frame_valid(frame.n, arrows(frame), ineq.lhs, ineq.rhs, layout)
 
 
 def satisfies(frame, val, deleted, w, f):

@@ -26,7 +26,7 @@ from sabcorr.alba import (
 from sabcorr.cli import load_corpus
 from sabcorr.fol import correspondent, emit_fo
 
-from frames import frame_holds, labelled_frames, statement_props
+from frames import arrows, frame_holds, labelled_frames, statement_props
 from test_golden import ROOT, _bench_module
 from test_syntax import _base_formulas
 
@@ -133,8 +133,9 @@ def test_preprocess_equivalent_on_small_frames():
         for n in (1, 2):
             layout = valuation_blocks(n, sorted(statement_props(src)))
             for frame in labelled_frames(n):
-                lhs = frame_valid(frame, src.lhs, src.rhs, layout)
-                rhs = all(frame_valid(frame, o.lhs, o.rhs, layout)
+                edges = arrows(frame)
+                lhs = frame_valid(n, edges, src.lhs, src.rhs, layout)
+                rhs = all(frame_valid(n, edges, o.lhs, o.rhs, layout)
                           for o in out)
                 assert lhs == rhs, (text, frame)
 

@@ -1,7 +1,6 @@
 """Command-line interface tests: exit codes, formats, corpus handling."""
 
 import contextlib
-import dataclasses
 import io
 import json
 from pathlib import Path
@@ -11,17 +10,40 @@ from hypothesis import given, settings, strategies as st
 
 from sabcorr import cli, semantics
 from sabcorr.cli import load_corpus, main
-from sabcorr.syntax import _SYMBOLS, Box, Dia, Ineq, Prop, parse_inequality
-from sabcorr.semantics import enumerate_frames, frame_valid, valuation_blocks
+from sabcorr.syntax import (
+    _SYMBOLS, Box, Dia, Ineq, Prop, parse_inequality, props_of,
+)
+from sabcorr.semantics import (
+    enumerate_frames, extension, frame_valid, valuation_blocks,
+)
 from sabcorr.alba import run_alba
-from sabcorr.fol import correspondent, emit_fo, holds_on_frame
+from sabcorr.fol import (
+    correspondent, emit_fo, eval_fo, holds_on_frame, simplify,
+)
 
 from fo_equiv import free_names
 from frames import (
-    frame_holds, labelled_frames, oracle_holds, statement_props, valuations,
+    KripkeFrame, frame_holds, labelled_frames, oracle_holds, statement_props,
+    valuations,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sahlqvist.txt"
+# `corpus --max-worlds 3` on the shipped corpus, byte for byte
+CORPUS_N3 = """\
+T                              verified  order-type: p=1
+func                           verified  order-type: p=1
+refl-dia                       verified  order-type: p=1
+trans                          verified  order-type: p=1
+sbox-intro                     verified  order-type: p=1
+commute                        verified  order-type: p=1
+nonempty                       verified  order-type: -
+serial-or-empty                verified  order-type: -
+sdia-dia                       verified  order-type: p=1
+B                              verified  order-type: p=1
+four                           verified  order-type: p=1
+G                              verified  order-type: p=1
+sbox-T                         verified  order-type: p=1
+"""
 
 
 def test_parse_command(capsys):
@@ -169,20 +191,19 @@ def test_verify_fail_names_the_first_failing_labelled_frame(monkeypatch,
                                                            capsys):
     # a stand-in correspondent that is invariant under isomorphism: at
     # least two edges, or a loop at every world
-    def holds(frame):
-        return (len(frame.r0) >= 2
-                or all((w, w) in frame.r0 for w in range(frame.n)))
+    def holds(n, edges):
+        return len(edges) >= 2 or all((w, w) in edges for w in range(n))
 
-    def stand_in(frames, sentence):
-        return sum(1 << k for k, frame in enumerate(frames) if holds(frame))
+    def stand_in(n, frames, sentence):
+        return sum(1 << k for k, edges in enumerate(frames) if holds(n, edges))
     monkeypatch.setattr(cli, "holds_on_frame", stand_in)
     statement = Ineq(*parse_inequality("[]p -> p"))
     expected = next(
         f"FAIL at n={frame.n}; edges={sorted(frame.r0)}: "
-        f"input valid={valid}, correspondent={holds(frame)}\n"
+        f"input valid={valid}, correspondent={holds(*frame)}\n"
         for n in (1, 2, 3) for frame in labelled_frames(n)
         for valid in [frame_holds(frame, statement)]
-        if valid != holds(frame))
+        if valid != holds(*frame))
     assert expected.startswith("FAIL at n=2; edges=[(0, 0), (0, 1)]:")
     assert main(["verify", "--formula", "[]p -> p", "--max-worlds", "3"]) == 1
     assert capsys.readouterr().out == expected
@@ -196,9 +217,9 @@ def test_verify_checks_the_simplified_sentence(monkeypatch, capsys):
     assert len(free_names(raw)) == 16
     checked = set()
 
-    def spy(frames, sentence):
+    def spy(n, frames, sentence):
         checked.add(sentence)
-        return holds_on_frame(frames, sentence)
+        return holds_on_frame(n, frames, sentence)
     monkeypatch.setattr(cli, "holds_on_frame", spy)
     assert main(["verify", "--formula", text, "--max-worlds", "2"]) == 0
     assert "PASS over 18 frames" in capsys.readouterr().out
@@ -210,15 +231,15 @@ def test_verify_checks_each_world_count_once(monkeypatch, capsys):
     # order the classes are drawn
     calls = []
 
-    def spy(frames, sentence):
-        calls.append(frames)
-        return holds_on_frame(frames, sentence)
+    def spy(n, frames, sentence):
+        calls.append((n, frames))
+        return holds_on_frame(n, frames, sentence)
     monkeypatch.setattr(cli, "holds_on_frame", spy)
     assert main(["verify", "--formula", "[]p -> p", "--max-worlds", "3"]) == 0
     assert "PASS over 530 frames" in capsys.readouterr().out
-    assert calls == [[frame for frame, _ in enumerate_frames(n)]
+    assert calls == [(n, [edges for edges, _ in enumerate_frames(n)])
                      for n in (1, 2, 3)]
-    assert list(map(len, calls)) == [2, 10, 104]
+    assert [len(frames) for _, frames in calls] == [2, 10, 104]
 
 
 def _spy_layouts(monkeypatch):
@@ -230,9 +251,9 @@ def _spy_layouts(monkeypatch):
         built.append(valuation_blocks(n, vars))
         return built[-1]
 
-    def check(frame, lhs, rhs, layout):
+    def check(n, edges, lhs, rhs, layout):
         used.append(layout)
-        return frame_valid(frame, lhs, rhs, layout)
+        return frame_valid(n, edges, lhs, rhs, layout)
     monkeypatch.setattr(cli, "valuation_blocks", build)
     monkeypatch.setattr(cli, "frame_valid", check)
     return built, used
@@ -248,23 +269,6 @@ def test_verify_builds_one_layout_per_world_count(monkeypatch, capsys):
     assert [id(layout) for layout in used] == [
         id(layout) for layout, size in zip(built, sizes)
         for _ in range(size)]
-
-
-def test_verify_builds_one_frame_per_class(monkeypatch, capsys):
-    # a frame holds only its worlds and arrows: the modal check takes the
-    # mask width as an argument and builds no frame of its own per class
-    assert [f.name for f in dataclasses.fields(semantics.KripkeFrame)] == \
-        ["n", "r0"]
-    built = []
-    check = semantics.KripkeFrame.__post_init__
-
-    def count(frame):
-        built.append(frame)
-        check(frame)
-    monkeypatch.setattr(semantics.KripkeFrame, "__post_init__", count)
-    assert main(["verify", "--formula", "[]p -> p", "--max-worlds", "3"]) == 0
-    assert capsys.readouterr().out == "PASS over 530 frames (n <= 3)\n"
-    assert len(built) == 2 + 10 + 104  # the classes enumerate_frames yields
 
 
 def test_corpus_builds_one_layout_per_world_count(monkeypatch, capsys):
@@ -286,7 +290,8 @@ def test_shared_layout_survives_every_chunk(monkeypatch, text):
     names = sorted(statement_props(ineq))
     fo = correspondent(run_alba(ineq).quasis)
     checked = 0
-    for frame, _, valid, holds in cli._check(ineq, fo, cli._classes(3)):
+    for n, edges, _, valid, holds in cli._check(ineq, fo, cli._classes(3)):
+        frame = KripkeFrame(n, frozenset(edges))
         assert valid == holds == all(oracle_holds(frame, val, ineq)
                                      for val in valuations(frame, names)), \
             (text, frame)
@@ -309,11 +314,36 @@ def test_verify_is_not_exponential_in_quantifier_depth(capsys):
 def test_orbit_weighted_counts_match_labelled_counts():
     for label, ineq in load_corpus(CORPUS):
         for n in (1, 2):
-            weighted = sum(orbit for frame, orbit in enumerate_frames(n)
-                           if frame_holds(frame, ineq))
+            weighted = sum(orbit for edges, orbit in enumerate_frames(n)
+                           if frame_holds(KripkeFrame(n, frozenset(edges)),
+                                          ineq))
             labelled = sum(frame_holds(frame, ineq)
                            for frame in labelled_frames(n))
             assert weighted == labelled, (label, n)
+
+
+def test_verdicts_do_not_depend_on_arrow_order():
+    # a frame is a tuple of arrows in table order, and both checks must
+    # read it as a set: the same FO mask, the same modal verdicts, and the
+    # same mask of each side over every world and valuation (a verdict
+    # alone misses a sabotage rule that deletes two neighbouring arrows)
+    orders = (lambda e: e, lambda e: tuple(sorted(e)), lambda e: e[::-1])
+    for label, ineq in load_corpus(CORPUS):
+        vars = sorted(props_of(ineq.lhs) | props_of(ineq.rhs))
+        sentence = simplify(correspondent(run_alba(ineq).quasis))
+        for n, size in enumerate(cli._classes(3), 1):
+            layout = valuation_blocks(n, vars)
+            width, low, high = layout
+            assert not high  # one chunk reads every valuation
+            seen = set()
+            for order in orders:
+                frames = [order(edges) for edges, _ in size]
+                seen.add((eval_fo(n, frames, {}, sentence), *(
+                    (frame_valid(n, edges, ineq.lhs, ineq.rhs, layout),
+                     extension(edges, width, low, ineq.lhs),
+                     extension(edges, width, low, ineq.rhs))
+                    for edges in frames)))
+            assert len(seen) == 1, (label, n)
 
 
 def test_verify_failure_input(capsys):
@@ -379,6 +409,13 @@ def test_corpus_command(tmp_path, capsys):
     assert "T" in out and "verified" in out
 
 
+def test_shipped_corpus_output_at_three_worlds(capsys):
+    # the batch path's whole output: every entry verified on the 530
+    # frames with n <= 3, with its order type
+    assert main(["corpus", "--file", str(CORPUS), "--max-worlds", "3"]) == 0
+    assert capsys.readouterr() == (CORPUS_N3, "")
+
+
 def test_corpus_command_flags_not_sahlqvist(tmp_path, capsys):
     path = tmp_path / "c.txt"
     path.write_text("[]<>p -> <>[]p\n")
@@ -426,6 +463,20 @@ def test_nesting_below_the_stated_limits_runs(argv, capsys):
     # the recursion fails these first
     assert main(argv) == 0
     assert "nested too deeply" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--formula", "<!><!><!><!><!><!>p -> <>p"],
+    ["corpus", "--file", str(CORPUS)],
+])
+def test_out_of_memory_exit_2(argv, monkeypatch, capsys):
+    # the FO check's tables grow by n^2 per nested sabotage modality, and
+    # one that does not fit ends the command with exit 2, not a traceback
+    def exhausted(n, frames, sentence):
+        raise MemoryError
+    monkeypatch.setattr(cli, "holds_on_frame", exhausted)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "out of memory\n")
 
 
 def test_corpus_max_worlds_cap(tmp_path, capsys):

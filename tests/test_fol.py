@@ -13,7 +13,7 @@ from sabcorr.syntax import (
     And, Bot, Box, Dia, GBox, Iff, Ineq, MegaGuard, Nom, Or, Prop, QuasiUQ,
     SDia, Top, UQIneq, CONNECTIVES, EMPTY_EDGES, parse_inequality,
 )
-from sabcorr.semantics import EvalError, KripkeFrame
+from sabcorr.semantics import EvalError
 from sabcorr.alba import AlbaSuccess, run_alba
 from sabcorr.cli import load_corpus
 from sabcorr.fol import (
@@ -26,7 +26,9 @@ from fo_equiv import (
     closure, fo_equiv_on_small_frames, free_names, pred_names,
     translate_formula,
 )
-from frames import labelled_frames, oracle_holds, statement_props, valuations
+from frames import (
+    fo_mask, labelled_frames, oracle_holds, statement_props, valuations,
+)
 from test_golden import _bench_module
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "sahlqvist.txt"
@@ -104,33 +106,30 @@ def test_st_quasi():
 # evaluation
 
 def test_eval_fo_basics():
-    empty = KripkeFrame(1, frozenset())
-    loop = KripkeFrame(1, frozenset({(0, 0)}))
+    # a frame is its arrow tuple; the world count is given once
+    empty, loop = (), ((0, 0),)
     v = {}
-    assert eval_fo([empty], v, FOForall("x", Eq("x", "x"))) == 1
+    assert eval_fo(1, [empty], v, FOForall("x", Eq("x", "x"))) == 1
     f = FOExists("y0", FOExists("y1", Rel("y0", "y1")))
-    assert eval_fo([empty], v, f) == 0
-    assert eval_fo([loop], v, f) == 1
+    assert eval_fo(1, [empty], v, f) == 0
+    assert eval_fo(1, [loop], v, f) == 1
     st = st_statement(Ineq(Top(), SDia(Top())))
-    assert eval_fo([loop], v, st) == 1
-    assert eval_fo([empty], v, st) == 0
-    # frame k at bit k
-    assert eval_fo([empty, loop, empty, loop], v, f) == 0b1010
-    # at least one frame, all of one size
-    for frames in ([], [loop, KripkeFrame(2, frozenset())]):
-        with pytest.raises(ValueError):
-            eval_fo(frames, v, f)
+    assert eval_fo(1, [loop], v, st) == 1
+    assert eval_fo(1, [empty], v, st) == 0
+    # frame k at bit k, and no bit without a frame
+    assert eval_fo(1, [empty, loop, empty, loop], v, f) == 0b1010
+    assert eval_fo(1, [], v, FOForall("x", Eq("x", "x"))) == 0
 
 
 def test_eval_fo_reads_nominals_from_valuation():
-    loop = KripkeFrame(1, frozenset({(0, 0)}))
+    loop = ((0, 0),)
     v = {"i1": 0}
-    assert eval_fo([loop], v, Rel("i1", "i1")) == 1
+    assert eval_fo(1, [loop], v, Rel("i1", "i1")) == 1
     with pytest.raises(EvalError):
-        eval_fo([loop], {}, Rel("i9", "i9"))
+        eval_fo(1, [loop], {}, Rel("i9", "i9"))
     # a predicate with no valuation is an error, not the empty set
     with pytest.raises(EvalError):
-        eval_fo([loop], v, Pred("p", "i1"))
+        eval_fo(1, [loop], v, Pred("p", "i1"))
 
 
 HAND_WRITTEN = [
@@ -155,7 +154,7 @@ def _holds_under_every_valuation(frames, sentence, preds):
     under every valuation of preds."""
     out = (1 << len(frames)) - 1
     for val in valuations(frames[0], preds):
-        out &= eval_fo(frames, val, sentence)
+        out &= fo_mask(frames, val, sentence)
     return out
 
 
@@ -192,17 +191,15 @@ def test_free_and_pred_names():
 
 
 def test_holds_on_frame():
-    loop = KripkeFrame(1, frozenset({(0, 0)}))
-    empty = KripkeFrame(1, frozenset())
+    loop, empty = ((0, 0),), ()
     refl = FOForall("x", Rel("x", "x"))
-    assert holds_on_frame([loop, empty, loop], refl) == 0b101
+    assert holds_on_frame(1, [loop, empty, loop], refl) == 0b101
     # free names are closed universally, by the caller
-    two = KripkeFrame(2, frozenset({(0, 0)}))
-    assert holds_on_frame([two], closure(Rel("i1", "i1"))) == 0
+    assert holds_on_frame(2, [loop], closure(Rel("i1", "i1"))) == 0
     with pytest.raises(EvalError):
-        holds_on_frame([two], Rel("i1", "i1"))
+        holds_on_frame(2, [loop], Rel("i1", "i1"))
     with pytest.raises(EvalError):
-        holds_on_frame([two], FOForall("x", Pred("p", "x")))
+        holds_on_frame(2, [loop], FOForall("x", Pred("p", "x")))
 
 
 def test_closure_binds_free_names_first_sorted_outermost():
@@ -249,18 +246,16 @@ def test_fo_equiv_on_small_frames():
 
 
 def test_eval_fo_leaves_the_valuation_alone():
-    loop = KripkeFrame(2, frozenset({(0, 0), (1, 0)}))
     val = {"i1": 0, "p": 0b01}
     f = FOForall("x", FOImp(Pred("p", "x"), FOExists("y", Rel("y", "i1"))))
-    assert eval_fo([loop], val, f) == 1
+    assert eval_fo(2, [((0, 0), (1, 0))], val, f) == 1
     assert val == {"i1": 0, "p": 0b01}
 
 
 def test_empty_connectives():
-    f = KripkeFrame(1, frozenset())
     v = {}
-    assert eval_fo([f], v, fo_and([])) == 1
-    assert eval_fo([f], v, FOOr(())) == 0
+    assert eval_fo(1, [()], v, fo_and([])) == 1
+    assert eval_fo(1, [()], v, FOOr(())) == 0
     assert fo_and([Eq("x", "x")]) == Eq("x", "x")
 
 
@@ -338,8 +333,8 @@ def test_simplify_agrees_with_closure():
         closed = closure(fo)
         for n in range(1, max_n + 1):
             frames = list(labelled_frames(n))
-            assert holds_on_frame(frames, sentence) == \
-                holds_on_frame(frames, closed), (emit_fo(fo), n)
+            assert fo_mask(frames, {}, sentence) == \
+                fo_mask(frames, {}, closed), (emit_fo(fo), n)
 
 
 def test_simplify_matches_the_independent_oracle():

@@ -17,16 +17,16 @@ from sabcorr.syntax import (
     UQIneq, EMPTY_EDGES, print_statement,
 )
 from sabcorr.semantics import (
-    EvalError, KripkeFrame, enumerate_frames, eval_statement, extension,
-    frame_valid, valuation_blocks,
+    EvalError, enumerate_frames, eval_statement, extension, frame_valid,
+    valuation_blocks,
 )
 from sabcorr.cli import load_corpus
-from sabcorr.fol import eval_fo, holds_on_frame, simplify, st_statement
+from sabcorr.fol import simplify, st_statement
 
 from fo_equiv import translate_formula
 from frames import (
-    frame_holds, labelled_frames, oracle_ext, oracle_holds, satisfies,
-    statement_props, valuation, valuations,
+    KripkeFrame, arrows, fo_mask, frame_holds, labelled_frames, oracle_ext,
+    oracle_holds, satisfies, statement_props, valuation, valuations,
 )
 from test_golden import ROOT
 
@@ -67,7 +67,7 @@ def _sizes(max_n):
 def _meaning(frames, val, s):
     """The mask of the frames, all of one size, where s holds under val by
     its standard translation, checked frame by frame against the oracle."""
-    mask = eval_fo(frames, val, st_statement(s))
+    mask = fo_mask(frames, val, st_statement(s))
     for k, frame in enumerate(frames):
         assert mask >> k & 1 == oracle_holds(frame, val, s), (frame, val, s)
     return mask
@@ -139,25 +139,18 @@ def test_unbound_nominal_raises_where_a_pointwise_reading_skipped_it(f):
     with pytest.raises(EvalError):
         satisfies(empty, {}, frozenset(), 0, f)
     with pytest.raises(EvalError):
-        eval_statement(empty, 1, {}, Top(), f)
+        eval_statement(1, (), 1, {}, Top(), f)
 
 
 def test_unbound_variable_raises():
     # a variable the valuation does not bind is an error, not the empty
     # set: frame_valid over a layout of a subset of the variables raises too
-    frame = KripkeFrame(2, frozenset({(0, 1)}))
+    edges = ((0, 1),)
     with pytest.raises(EvalError, match="no value for 'q' in the valuation"):
-        extension(tuple(frame.r0), 1, {"p": 1}, Or(p, q))
+        extension(edges, 1, {"p": 1}, Or(p, q))
     with pytest.raises(EvalError, match="no value for 'q' in the valuation"):
-        frame_valid(frame, p, q, valuation_blocks(2, ["p"]))
-    assert not frame_holds(frame, Ineq(p, q))
-
-
-def test_frame_validation():
-    with pytest.raises(ValueError):
-        KripkeFrame(0, frozenset())
-    with pytest.raises(ValueError):
-        KripkeFrame(1, frozenset({(0, 1)}))
+        frame_valid(2, edges, p, q, valuation_blocks(2, ["p"]))
+    assert not frame_holds(KripkeFrame(2, frozenset(edges)), Ineq(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +158,9 @@ def test_frame_validation():
 
 def test_eval_statement_examples():
     for frame in _frames(2):
-        assert eval_statement(frame, 1, {}, Bot(), Top())
-    frame = KripkeFrame(2, frozenset({(0, 1)}))
-    assert eval_statement(frame, 1, {"p": 0b10}, Dia(p), Top())
-    assert not eval_statement(frame, 1, {"p": 0b10}, Top(), Dia(p))
+        assert eval_statement(frame.n, arrows(frame), 1, {}, Bot(), Top())
+    assert eval_statement(2, ((0, 1),), 1, {"p": 0b10}, Dia(p), Top())
+    assert not eval_statement(2, ((0, 1),), 1, {"p": 0b10}, Top(), Dia(p))
 
 
 def test_inequality_proposition_bullets():
@@ -249,7 +241,7 @@ def test_frame_valid_closes_nominals_universally():
     # UQIneq binds them; the modal check refuses the nominal
     s = Ineq(Nom("i1"), Dia(Top()))
     for frame, valid in ((loop, True), (two, False)):  # i1 = 1 has no successor
-        assert holds_on_frame([frame], simplify(st_statement(s))) == valid
+        assert fo_mask([frame], {}, simplify(st_statement(s))) == valid
         assert oracle_holds(frame, {}, UQIneq(("i1",), s)) == valid
     with pytest.raises(EvalError):
         frame_holds(loop, s)
@@ -295,18 +287,18 @@ def test_valuations_count_and_mask_order():
             assert all(list(v) == ["p", "q"][:k] for v in vals)
 
 
-def _eval_calls(monkeypatch, frame, names):
-    """The (frame, width, valuation) triples that frame_valid hands to
-    eval_statement, in order, for a statement over `names`, given the
-    layout of `names`."""
+def _eval_calls(monkeypatch, n, names):
+    """The (n, edges, width, valuation) that frame_valid hands to
+    eval_statement, in order, for a statement over `names` on the edgeless
+    frame on n worlds, given the layout of `names`."""
     calls = []
 
-    def record(frame, width, val, lhs, rhs):
-        calls.append((frame, width, val))
+    def record(n, edges, width, val, lhs, rhs):
+        calls.append((n, edges, width, val))
         return True
     monkeypatch.setattr(semantics, "eval_statement", record)
-    layout = valuation_blocks(frame.n, names)
-    assert frame_valid(frame, Top(), Top(), layout) is True
+    layout = valuation_blocks(n, names)
+    assert frame_valid(n, (), Top(), Top(), layout) is True
     return calls
 
 
@@ -318,13 +310,13 @@ def test_block_layout(monkeypatch, block_bits):
     for n, k in itertools.product((1, 2, 3), range(4)):
         frame = KripkeFrame(n, frozenset())
         names = ["p", "q", "r"][:k]
-        calls = _eval_calls(monkeypatch, frame, names)
-        width = calls[0][1]
+        calls = _eval_calls(monkeypatch, n, names)
+        width = calls[0][2]
         assert width == 2 ** min(n * k, block_bits)
         assert len(calls) * width == 2 ** (n * k)
         for v, expected in enumerate(valuations(frame, names)):
-            got, got_width, val = calls[v // width]
-            assert (got, got_width) == (frame, width)
+            *got, val = calls[v // width]
+            assert got == [n, (), width]
             assert list(val) == names
             for name, w in itertools.product(names, range(n)):
                 assert (val[name] >> (w * width + v % width) & 1
@@ -337,7 +329,8 @@ def test_frame_valid_matches_each_valuation(monkeypatch, block_bits):
     monkeypatch.setattr(semantics, "BLOCK_BITS", block_bits)
     corpus = [iq for _, iq in load_corpus(ROOT / "corpus" / "sahlqvist.txt")]
     for n in (1, 2, 3):
-        for frame, _ in enumerate_frames(n):
+        for edges, _ in enumerate_frames(n):
+            frame = KripkeFrame(n, frozenset(edges))
             for iq in corpus:
                 names = sorted(statement_props(iq))
                 valid = frame_holds(frame, iq)
@@ -353,17 +346,15 @@ def _edge_mask(n, edges):
 
 def test_enumerate_frames():
     # one frame per isomorphism class, against every labelled frame
-    ones = list(enumerate_frames(1))
-    assert [(f.r0, orbit) for f, orbit in ones] == \
-        [(frozenset(), 1), (frozenset({(0, 0)}), 1)]
+    assert list(enumerate_frames(1)) == [((), 1), (((0, 0),), 1)]
     for n, count in zip((1, 2, 3, 4), (2, 10, 104, 3044)):
         classes = list(enumerate_frames(n))
         assert len(classes) == count
-        assert sum(orbit for _, orbit in classes) == 2 ** (n * n)
-        masks = [_edge_mask(n, f.r0) for f, _ in classes]
-        assert masks == sorted(masks) and all(f.n == n for f, _ in classes)
+        masks = [_edge_mask(n, edges) for edges, _ in classes]
+        assert masks == sorted(masks)
     for n in (1, 2, 3):
-        orbits = {f.r0: orbit for f, orbit in enumerate_frames(n)}
+        orbits = {frozenset(edges): orbit
+                  for edges, orbit in enumerate_frames(n)}
         perms = list(itertools.permutations(range(n)))
         members = Counter()
         for frame in labelled_frames(n):
@@ -382,18 +373,36 @@ def test_enumerate_frames():
         list(enumerate_frames(0))
 
 
+def test_enumerated_arrows_are_distinct_and_in_range():
+    # the program reads a frame as n and the tuple enumerate_frames
+    # yields, with no range check of its own: each tuple holds distinct
+    # arrows between worlds 0..n-1, its cell mask is the least of its
+    # class, and the orbits cover every labelled frame
+    for n in (1, 2, 3, 4):
+        perms = list(itertools.permutations(range(n)))
+        total = 0
+        for edges, orbit in enumerate_frames(n):
+            assert type(edges) is tuple and len(set(edges)) == len(edges)
+            assert all(0 <= a < n and 0 <= b < n for a, b in edges), edges
+            assert _edge_mask(n, edges) == min(
+                _edge_mask(n, {(pi[a], pi[b]) for a, b in edges})
+                for pi in perms), edges
+            total += orbit
+        assert total == 2 ** (n * n)
+
+
 def test_enumerate_frames_four_worlds_by_relabelling_edge_sets():
     # each class drawn again by relabelling the representative's edge set
     # under all 24 permutations, with no mask table
     n = 4
     perms = list(itertools.permutations(range(n)))
     covered = set()
-    for frame, orbit in enumerate_frames(n):
-        cls = {_edge_mask(n, {(pi[a], pi[b]) for a, b in frame.r0})
+    for edges, orbit in enumerate_frames(n):
+        cls = {_edge_mask(n, {(pi[a], pi[b]) for a, b in edges})
                for pi in perms}
-        assert _edge_mask(n, frame.r0) == min(cls), frame
-        assert orbit == len(cls), frame
-        assert covered.isdisjoint(cls), frame
+        assert _edge_mask(n, edges) == min(cls), edges
+        assert orbit == len(cls), edges
+        assert covered.isdisjoint(cls), edges
         covered |= cls
     assert covered == set(range(1 << (n * n)))
 

@@ -46,7 +46,7 @@ def test_every_formula_class_has_a_row():
     # p at world 1, i0 at world 0 and i1 at world 1, the mask of the worlds
     # x where it holds; the label (i0, i1) is the arrow, (i1, i0) is none,
     # and a sabotage node reads its child with the arrow deleted
-    frame = semantics.KripkeFrame(2, frozenset({(0, 1)}))
+    edges = ((0, 1),)
     arrow, none = frozenset({("i0", "i1")}), frozenset({("i1", "i0")})
     translated = {
         Dia(p): 0b01, Box(p): 0b11, SDia(Dia(p)): 0b00,
@@ -59,7 +59,8 @@ def test_every_formula_class_has_a_row():
     assert {type(f) for f in translated} == quantifying
     for f, expected in translated.items():
         fo = translate_formula(f)
-        assert sum(fol.eval_fo([frame], {"p": 0b10, "i0": 0, "i1": 1, "x": w},
+        assert sum(fol.eval_fo(2, [edges],
+                               {"p": 0b10, "i0": 0, "i1": 1, "x": w},
                                fo) << w for w in range(2)) == expected, f
     # the modal check evaluates the modalities the parser reads and no other
     # quantifying node, on the same frame
@@ -68,7 +69,6 @@ def test_every_formula_class_has_a_row():
               InvLDia(EMPTY_EDGES, p), InvLBox(EMPTY_EDGES, p), GBox(p),
               ForallNom("i0", p), ExistsNom("i0", p)]
     assert {type(f) for f in [*read, *unread]} == quantifying
-    edges = tuple(frame.r0)
     for f in [*read, *unread]:
         if CONNECTIVES[type(f)].token:
             assert semantics.extension(
